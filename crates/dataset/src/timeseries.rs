@@ -229,7 +229,7 @@ impl TimeSeriesGenerator {
         let local_phase = rng.gen_range(0.0..(2.0 * PI));
         let amp_scale = 1.0 + rng.gen_range(-cfg.max_amplitude_scale..=cfg.max_amplitude_scale);
 
-        let mut values = Vec::with_capacity(length);
+        let mut values = Vec::with_capacity(length * cfg.dimensions);
         for i in 0..length {
             let t = i as f64 / (length - 1) as f64;
             // Local compression/decompression: perturb the time axis with a
@@ -240,9 +240,9 @@ impl TimeSeriesGenerator {
             for x in &mut v {
                 *x = *x * amp_scale + gaussian(rng) * cfg.noise;
             }
-            values.push(v);
+            values.extend(v);
         }
-        let series = TimeSeries::new(values);
+        let series = TimeSeries::from_flat(values, cfg.dimensions);
         if cfg.mean_normalize {
             series.mean_normalized()
         } else {
@@ -347,7 +347,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let s = g.variation(1, &mut rng);
         for d in 0..s.dim() {
-            let mean: f64 = s.samples().iter().map(|v| v[d]).sum::<f64>() / s.len() as f64;
+            let mean: f64 = s.samples().map(|v| v[d]).sum::<f64>() / s.len() as f64;
             assert!(mean.abs() < 1e-9, "dimension {d} mean {mean}");
         }
     }

@@ -70,6 +70,12 @@ impl<O: ?Sized, D: DistanceMeasure<O>> DistanceMeasure<O> for CountingDistance<O
         self.count.fetch_add(1, Ordering::Relaxed);
         self.inner.distance(a, b)
     }
+    /// Counts as one exact distance, whether or not the inner measure
+    /// abandons it.
+    fn distance_within(&self, a: &O, b: &O, bound: f64) -> f64 {
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.inner.distance_within(a, b, bound)
+    }
     fn properties(&self) -> MetricProperties {
         self.inner.properties()
     }
@@ -130,6 +136,24 @@ mod tests {
             }
         });
         assert_eq!(d.count(), 4000);
+    }
+
+    #[test]
+    fn distance_within_counts_once_and_forwards_the_bound() {
+        use crate::dtw::{ConstrainedDtw, TimeSeries};
+        let a = TimeSeries::univariate([0.0, 1.0, 2.0, 3.0]);
+        let b = TimeSeries::univariate([5.0, 6.0, 7.0, 8.0]);
+        let dtw = ConstrainedDtw::paper();
+        let d = CountingDistance::new(dtw);
+        let exact = dtw.eval(&a, &b);
+        // Abandoned or not, each call is one exact distance.
+        assert!(d.distance_within(&a, &b, 1.0) > 1.0);
+        assert_eq!(d.distance_within(&a, &b, exact), exact);
+        assert_eq!(d.count(), 2);
+        // The abandoned value is the inner measure's, not a full evaluation.
+        let abandoned = d.distance_within(&a, &b, 1.0);
+        assert_eq!(abandoned, dtw.eval_within(&a, &b, 1.0));
+        assert!(abandoned < exact);
     }
 
     #[test]

@@ -55,6 +55,21 @@ pub trait DistanceMeasure<O: ?Sized>: Send + Sync {
     /// first argument plays the role of the query.
     fn distance(&self, a: &O, b: &O) -> f64;
 
+    /// The distance from `a` to `b`, except that when it is greater than
+    /// `bound` any value greater than `bound` may be returned instead.
+    ///
+    /// This lets a caller that only needs distances up to a threshold (the
+    /// refine step's current k-th best) stop an expensive evaluation early.
+    /// A NaN distance is not greater than any bound, so it is always
+    /// returned as is, and `bound = +inf` (or NaN) always asks for the exact
+    /// distance. Each call is one
+    /// exact distance computation in the paper's accounting, abandoned or
+    /// not. The default computes [`Self::distance`].
+    fn distance_within(&self, a: &O, b: &O, bound: f64) -> f64 {
+        let _ = bound;
+        self.distance(a, b)
+    }
+
     /// The mathematical properties this measure guarantees.
     fn properties(&self) -> MetricProperties {
         MetricProperties::SymmetricNonMetric
@@ -70,6 +85,9 @@ impl<O: ?Sized, D: DistanceMeasure<O> + ?Sized> DistanceMeasure<O> for &D {
     fn distance(&self, a: &O, b: &O) -> f64 {
         (**self).distance(a, b)
     }
+    fn distance_within(&self, a: &O, b: &O, bound: f64) -> f64 {
+        (**self).distance_within(a, b, bound)
+    }
     fn properties(&self) -> MetricProperties {
         (**self).properties()
     }
@@ -82,6 +100,9 @@ impl<O: ?Sized, D: DistanceMeasure<O> + ?Sized> DistanceMeasure<O> for Arc<D> {
     fn distance(&self, a: &O, b: &O) -> f64 {
         (**self).distance(a, b)
     }
+    fn distance_within(&self, a: &O, b: &O, bound: f64) -> f64 {
+        (**self).distance_within(a, b, bound)
+    }
     fn properties(&self) -> MetricProperties {
         (**self).properties()
     }
@@ -93,6 +114,9 @@ impl<O: ?Sized, D: DistanceMeasure<O> + ?Sized> DistanceMeasure<O> for Arc<D> {
 impl<O: ?Sized, D: DistanceMeasure<O> + ?Sized> DistanceMeasure<O> for Box<D> {
     fn distance(&self, a: &O, b: &O) -> f64 {
         (**self).distance(a, b)
+    }
+    fn distance_within(&self, a: &O, b: &O, bound: f64) -> f64 {
+        (**self).distance_within(a, b, bound)
     }
     fn properties(&self) -> MetricProperties {
         (**self).properties()
@@ -169,6 +193,47 @@ mod tests {
             |a: &f64, b: &f64| (a - b).abs(),
         ));
         assert_eq!(boxed.distance(&1.0, &-1.0), 2.0);
+    }
+
+    /// Returns `bound + 1` whenever the exact distance exceeds the bound,
+    /// so a test can see whether the override was reached.
+    struct Abandoning;
+
+    impl DistanceMeasure<f64> for Abandoning {
+        fn distance(&self, a: &f64, b: &f64) -> f64 {
+            (a - b).abs()
+        }
+        fn distance_within(&self, a: &f64, b: &f64, bound: f64) -> f64 {
+            let d = self.distance(a, b);
+            if d > bound {
+                bound + 1.0
+            } else {
+                d
+            }
+        }
+    }
+
+    #[test]
+    fn distance_within_defaults_to_the_exact_distance() {
+        let d = FnDistance::new("abs", MetricProperties::Metric, |a: &f64, b: &f64| {
+            (a - b).abs()
+        });
+        for bound in [0.0, 1.0, 100.0, f64::INFINITY] {
+            assert_eq!(d.distance_within(&0.0, &7.0, bound), 7.0);
+        }
+    }
+
+    #[test]
+    fn references_and_smart_pointers_forward_distance_within() {
+        fn within<D: DistanceMeasure<f64>>(d: D, bound: f64) -> f64 {
+            d.distance_within(&0.0, &7.0, bound)
+        }
+        assert_eq!(within(&Abandoning, 2.0), 3.0);
+        assert_eq!(within(&Abandoning, 9.0), 7.0);
+        assert_eq!(within(Arc::new(Abandoning), 2.0), 3.0);
+        assert_eq!(within(Box::new(Abandoning), 2.0), 3.0);
+        let boxed: Box<dyn DistanceMeasure<f64>> = Box::new(Abandoning);
+        assert_eq!(within(&boxed, 2.0), 3.0);
     }
 
     #[test]

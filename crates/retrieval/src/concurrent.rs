@@ -49,9 +49,8 @@
 use crate::dynamic::DynamicIndex;
 use crate::error::{check_p_scale, check_query_params, QueryError};
 use crate::filter_refine::{
-    effective_p, tiled_query_pipeline, top_p_by_score, FilterElem, FlatStore,
+    effective_p, refine_ranked, tiled_query_pipeline, top_p_by_score, FilterElem, FlatStore,
 };
-use crate::knn::knn;
 use qse_core::QseModel;
 use qse_distance::DistanceMeasure;
 use qse_embedding::{CompositeEmbedding, Embedding};
@@ -777,9 +776,7 @@ impl<O: Clone + Send + Sync, E: FilterElem> Snapshot<O, E> {
         k: usize,
         order: &[usize],
     ) -> Vec<usize> {
-        let candidates: Vec<O> = order.iter().map(|&g| self.object(g).clone()).collect();
-        let refined = knn(query, &candidates, distance, k);
-        refined.neighbors.into_iter().map(|i| order[i]).collect()
+        refine_ranked(query, distance, k, order, |g| self.object(g))
     }
 }
 

@@ -10,8 +10,9 @@
 //! [`QseModel`].
 
 use crate::error::{check_query_params, QueryError};
-use crate::filter_refine::{tiled_query_pipeline, top_p_by_score, FilterElem, FlatStore};
-use crate::knn::knn;
+use crate::filter_refine::{
+    refine_ranked, tiled_query_pipeline, top_p_by_score, FilterElem, FlatStore,
+};
 use crate::routed::{probe_prefix, top_ids_by_score, RoutedConfig};
 use qse_core::{QseModel, TripleSampler};
 use qse_distance::{DistanceMatrix, DistanceMeasure};
@@ -491,9 +492,9 @@ impl<O: Clone + Send + Sync, E: FilterElem> DynamicIndex<O, E> {
     }
 
     /// The refine step shared by [`Self::retrieve`] and
-    /// [`Self::retrieve_batch`]: exact k-NN over the filter candidates,
-    /// mapped back to index-space ids. One routine on both paths keeps the
-    /// batched pipeline *provably* identical to the sequential one.
+    /// [`Self::retrieve_batch`]: exact k-NN over the filter candidates.
+    /// One routine on both paths keeps the batched pipeline *provably*
+    /// identical to the sequential one.
     fn refine(
         &self,
         query: &O,
@@ -501,9 +502,7 @@ impl<O: Clone + Send + Sync, E: FilterElem> DynamicIndex<O, E> {
         k: usize,
         order: &[usize],
     ) -> Vec<usize> {
-        let candidates: Vec<O> = order.iter().map(|&i| self.objects[i].clone()).collect();
-        let refined = knn(query, &candidates, distance, k);
-        refined.neighbors.into_iter().map(|i| order[i]).collect()
+        refine_ranked(query, distance, k, order, |i| &self.objects[i])
     }
 
     /// Batched filter-and-refine retrieval through the Q×N tiled pipeline:

@@ -86,6 +86,7 @@
 //! [`FilterRefineIndex::with_p_scale`]).
 
 use crate::error::{check_query_params, QueryError};
+use crate::knn::bounded_top_k;
 use qse_core::QseModel;
 use qse_distance::{DistanceMeasure, WeightedL1};
 use qse_embedding::Embedding;
@@ -213,6 +214,11 @@ pub(crate) fn effective_p(p: usize, p_scale: f64, n: usize) -> usize {
 /// One routine everywhere is what makes the pipelines *provably*
 /// identical: a candidate **set** determines the outcome regardless of
 /// the order candidates arrive in.
+///
+/// The selection is [`bounded_top_k`], so each candidate is measured with
+/// [`DistanceMeasure::distance_within`] against the running k-th distance
+/// and may be abandoned early. It still counts as one exact distance:
+/// `refine_cost` is the number of candidates.
 pub(crate) fn refine_candidates<O>(
     query: &O,
     database: &[O],
@@ -222,18 +228,36 @@ pub(crate) fn refine_candidates<O>(
     embedding_cost: usize,
 ) -> RetrievalOutcome {
     let refine_cost = candidates.len();
-    let mut refined: Vec<(usize, f64)> = candidates
-        .iter()
-        .map(|&i| (i, distance.distance(query, &database[i])))
-        .collect();
-    refined.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-    refined.truncate(k);
+    let refined = bounded_top_k(k, candidates.iter().copied(), |i, bound| {
+        distance.distance_within(query, &database[i], bound)
+    });
     RetrievalOutcome {
         neighbors: refined.iter().map(|(i, _)| *i).collect(),
         distances: refined.iter().map(|(_, d)| *d).collect(),
         embedding_cost,
         refine_cost,
     }
+}
+
+/// The refine step of the mutable indexes (`DynamicIndex`,
+/// `ConcurrentIndex`): the same bounded selection as
+/// [`refine_candidates`], reading each candidate id in `order` through
+/// `object` instead of copying the candidates out. Ties break by filter
+/// rank (position in `order`), not by id as in [`refine_candidates`].
+/// Returns the `k` best ids, best first.
+pub(crate) fn refine_ranked<'a, O: 'a>(
+    query: &O,
+    distance: &dyn DistanceMeasure<O>,
+    k: usize,
+    order: &[usize],
+    object: impl Fn(usize) -> &'a O,
+) -> Vec<usize> {
+    bounded_top_k(k, 0..order.len(), |rank, bound| {
+        distance.distance_within(query, object(order[rank]), bound)
+    })
+    .into_iter()
+    .map(|(rank, _)| order[rank])
+    .collect()
 }
 
 /// [`top_p_by_score`] writing into a caller-owned index buffer, so the

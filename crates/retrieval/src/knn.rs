@@ -6,12 +6,16 @@
 //! computations in the MNIST dataset and 31818 ... in the time series
 //! dataset"* (Table 1 caption). This module provides that ground truth,
 //! computed in parallel across queries on the rayon substrate. The per-query
-//! top-k step uses `select_nth_unstable_by` (O(n) + O(k log k)) instead of a
-//! full sort, with NaN-safe `(distance, index)` ordering.
+//! top-k step keeps a running k-best heap under the NaN-safe
+//! `(distance, index)` order (O(n log k)) and hands its current k-th
+//! distance to [`DistanceMeasure::distance_within`], so an expensive
+//! measure can abandon candidates that cannot make the top k.
 
 use crate::filter_refine::top_p_by_score;
 use qse_distance::{DistanceMeasure, FilterElem, FlatStore, FlatVectors, WeightedL1};
 use rayon::prelude::*;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// The result of an exact k-NN query.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,23 +41,79 @@ where
         "k = {k} exceeds the database size {}",
         database.len()
     );
-    let mut scored: Vec<(usize, f64)> = database
-        .iter()
-        .enumerate()
-        .map(|(i, o)| (i, distance.distance(query, o)))
-        .collect();
-    let by_distance_then_index =
-        |a: &(usize, f64), b: &(usize, f64)| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0));
-    if k < scored.len() {
-        // O(n) selection of the k nearest; only those get sorted.
-        scored.select_nth_unstable_by(k - 1, by_distance_then_index);
-        scored.truncate(k);
-    }
-    scored.sort_unstable_by(by_distance_then_index);
+    let best = bounded_top_k(k, 0..database.len(), |i, bound| {
+        distance.distance_within(query, &database[i], bound)
+    });
     KnnResult {
-        neighbors: scored.iter().map(|(i, _)| *i).collect(),
-        distances: scored.iter().map(|(_, d)| *d).collect(),
+        neighbors: best.iter().map(|(i, _)| *i).collect(),
+        distances: best.iter().map(|(_, d)| *d).collect(),
     }
+}
+
+/// One `(distance, key)` entry of [`bounded_top_k`]'s running selection,
+/// ordered by the strict total order `(distance.total_cmp, key)`.
+struct Ranked(f64, usize);
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
+    }
+}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Ranked {}
+
+/// The exact-distance selection behind every refine step and [`knn`]: the
+/// `k` best `(key, distance)` pairs over `keys`, best first, under the
+/// strict total order `(distance, key)` — ties break by the smaller key.
+///
+/// `distance_within(key, bound)` must follow the
+/// [`DistanceMeasure::distance_within`] contract. It is called once per key,
+/// with `bound` the current k-th best distance (`+inf` until `k` keys have
+/// been seen, or while that distance is NaN). A key is dropped only when its
+/// value is strictly greater than `bound`, and then its true distance is
+/// too (a NaN distance is never replaced, since it is not greater than any
+/// bound), so it could not have made the top `k`. A key exactly at the bound
+/// gets its exact distance and competes on the key. The result is therefore
+/// the same as measuring every key exactly and sorting.
+pub(crate) fn bounded_top_k(
+    k: usize,
+    keys: impl IntoIterator<Item = usize>,
+    mut distance_within: impl FnMut(usize, f64) -> f64,
+) -> Vec<(usize, f64)> {
+    if k == 0 {
+        return Vec::new();
+    }
+    // Max-heap: the root is the current k-th best.
+    let mut best: BinaryHeap<Ranked> = BinaryHeap::with_capacity(k + 1);
+    for key in keys {
+        let bound = match best.peek() {
+            Some(worst) if best.len() == k && !worst.0.is_nan() => worst.0,
+            _ => f64::INFINITY,
+        };
+        let candidate = Ranked(distance_within(key, bound), key);
+        if best.len() < k {
+            best.push(candidate);
+        } else if best.peek().is_some_and(|worst| candidate < *worst) {
+            best.pop();
+            best.push(candidate);
+        }
+    }
+    best.into_sorted_vec()
+        .into_iter()
+        .map(|Ranked(d, key)| (key, d))
+        .collect()
 }
 
 /// Exact k nearest neighbors of an embedded `query` within a flat row-major
@@ -221,6 +281,80 @@ mod tests {
         let seq = ground_truth(&queries, &db, &abs(), 5, 1);
         let par = ground_truth(&queries, &db, &abs(), 5, 4);
         assert_eq!(seq, par);
+    }
+
+    /// Runs [`bounded_top_k`] over `(key, exact distance)` pairs in the given
+    /// arrival order with a measure that honours the `distance_within`
+    /// contract as loosely as allowed: past the bound it returns
+    /// `bound + 1`. Returns the selection and the bounds it was handed.
+    fn select(k: usize, arrivals: &[(usize, f64)]) -> (Vec<(usize, f64)>, Vec<f64>) {
+        let exact: std::collections::HashMap<usize, f64> = arrivals.iter().copied().collect();
+        let mut bounds = Vec::new();
+        let best = bounded_top_k(k, arrivals.iter().map(|a| a.0), |key, bound| {
+            bounds.push(bound);
+            let d = exact[&key];
+            if d > bound {
+                bound + 1.0
+            } else {
+                d
+            }
+        });
+        (best, bounds)
+    }
+
+    /// The reference: every exact distance, sorted by `(distance, key)`.
+    fn sorted_top(k: usize, arrivals: &[(usize, f64)]) -> Vec<(usize, f64)> {
+        let mut all = arrivals.to_vec();
+        all.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        all.truncate(k);
+        all
+    }
+
+    #[test]
+    fn bounded_top_k_admits_a_lower_key_exactly_at_the_kth_distance() {
+        // Key 9 holds the k-th place at distance 2; key 4 arrives later at
+        // exactly that distance and must displace it on the key.
+        let arrivals = [(7, 1.0), (9, 2.0), (8, 5.0), (4, 2.0), (6, 2.0)];
+        let (best, bounds) = select(2, &arrivals);
+        assert_eq!(best, vec![(7, 1.0), (4, 2.0)]);
+        assert_eq!(best, sorted_top(2, &arrivals));
+        // Unbounded until k keys are in, then the running k-th distance.
+        assert_eq!(bounds, vec![f64::INFINITY, f64::INFINITY, 2.0, 2.0, 2.0]);
+    }
+
+    #[test]
+    fn bounded_top_k_matches_a_full_sort() {
+        let mut state = 0x9E3779B97F4A7C15u64;
+        for round in 0..200 {
+            let n = 1 + round % 37;
+            let arrivals: Vec<(usize, f64)> = (0..n)
+                .map(|i| {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    // Few distinct values, so ties are everywhere.
+                    ((i * 7919) % 1000, ((state >> 33) % 6) as f64)
+                })
+                .collect();
+            for k in 1..=n + 1 {
+                assert_eq!(
+                    select(k, &arrivals).0,
+                    sorted_top(k, &arrivals),
+                    "n {n} k {k}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_top_k_handles_nan_and_empty_selections() {
+        // A NaN k-th distance is no bound: later keys are measured exactly.
+        let arrivals = [(0, f64::NAN), (1, 3.0), (2, f64::INFINITY)];
+        let (best, bounds) = select(1, &arrivals);
+        assert_eq!(best, vec![(1, 3.0)]);
+        assert_eq!(bounds, vec![f64::INFINITY, f64::INFINITY, 3.0]);
+        assert!(select(0, &arrivals).0.is_empty());
+        assert!(select(3, &[]).0.is_empty());
     }
 
     #[test]

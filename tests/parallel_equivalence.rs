@@ -4,7 +4,9 @@
 //! embedding (`embed_queries` for every embedding family and for the
 //! query-sensitive model), and the Q×N tiled batch retrieval pipelines
 //! (`FilterRefineIndex::retrieve_batch`, `DynamicIndex::retrieve_batch`
-//! including after online edits, and `knn_flat_batch`).
+//! including after online edits, and `knn_flat_batch`). The
+//! early-abandoning cDTW refine is pinned here too: it must equal a refine
+//! that measures every candidate to the end, on every index kind.
 //!
 //! The rayon substrate re-reads `RAYON_NUM_THREADS` on every parallel call,
 //! so these tests flip the variable at run time. They set it explicitly
@@ -342,4 +344,244 @@ fn duplicate_queries_in_a_tile_share_refine_work_without_changing_results() {
             "dynamic memo diverged at {threads} threads"
         );
     }
+}
+
+/// Constrained DTW with the trait's default `distance_within`: every
+/// refine evaluation runs to the end. The reference for the
+/// early-abandoning refine.
+struct FullDtw(ConstrainedDtw);
+
+impl DistanceMeasure<TimeSeries> for FullDtw {
+    fn distance(&self, a: &TimeSeries, b: &TimeSeries) -> f64 {
+        self.0.eval(a, b)
+    }
+}
+
+/// Constrained DTW that counts the `distance_within` calls whose bound
+/// the exact distance exceeded: the evaluations the refine step was
+/// allowed to abandon.
+struct AbandonProbe(ConstrainedDtw, std::sync::atomic::AtomicUsize);
+
+impl DistanceMeasure<TimeSeries> for AbandonProbe {
+    fn distance(&self, a: &TimeSeries, b: &TimeSeries) -> f64 {
+        self.0.eval(a, b)
+    }
+    fn distance_within(&self, a: &TimeSeries, b: &TimeSeries, bound: f64) -> f64 {
+        let d = self.0.eval_within(a, b, bound);
+        if d > bound {
+            self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+        d
+    }
+}
+
+fn train_series_model(pool: &[TimeSeries], d: &ConstrainedDtw) -> QseModel<TimeSeries> {
+    let data = TrainingData::precompute(pool.to_vec(), pool.to_vec(), d, 1);
+    let mut rng = StdRng::seed_from_u64(0xC0DE);
+    let triples = TripleSampler::selective(4).sample(&data.train_to_train, 300, &mut rng);
+    BoostMapTrainer::new(TrainerConfig::quick()).train(&data, &triples, &mut rng)
+}
+
+/// Neighbors, distance bits and both costs.
+fn assert_same_outcome(fast: &RetrievalOutcome, full: &RetrievalOutcome, label: &str) {
+    assert_eq!(fast.neighbors, full.neighbors, "{label}: neighbors");
+    let bits = |o: &RetrievalOutcome| o.distances.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(fast), bits(full), "{label}: distance bits");
+    assert_eq!(
+        fast.embedding_cost, full.embedding_cost,
+        "{label}: embedding cost"
+    );
+    assert_eq!(fast.refine_cost, full.refine_cost, "{label}: refine cost");
+}
+
+#[test]
+fn early_abandoning_cdtw_refine_equals_the_full_refine_on_every_index_kind() {
+    let dtw = ConstrainedDtw::paper();
+    let full = FullDtw(dtw);
+    let mut rng = StdRng::seed_from_u64(0xD7A);
+    // Shorter than the default series keep the debug-build test quick.
+    let config = query_sensitive_embeddings::dataset::TimeSeriesGeneratorConfig {
+        base_length: 40,
+        ..Default::default()
+    };
+    let generator = TimeSeriesGenerator::new(config, &mut rng);
+    let db = generator.generate_unlabeled(140, &mut rng);
+    let mut queries: Vec<TimeSeries> = (0..13)
+        .map(|i| generator.variation(i % generator.seeds().len(), &mut rng))
+        .collect();
+    // A repeat inside one batch tile exercises the duplicate-query memo.
+    queries.push(queries[2].clone());
+    let model = train_series_model(&db[..40], &dtw);
+    let (k, p) = (5, 30);
+
+    let index = FilterRefineIndex::<TimeSeries, u8>::build_query_sensitive_with_store(
+        model.clone(),
+        &db,
+        &dtw,
+    );
+    let probe = AbandonProbe(dtw, Default::default());
+    for threads in [1, 2, 8] {
+        with_thread_count(threads, || {
+            for (i, q) in queries.iter().enumerate() {
+                let fast = index.try_retrieve(q, &db, &probe, k, p).unwrap();
+                let slow = index.try_retrieve(q, &db, &full, k, p).unwrap();
+                assert_same_outcome(&fast, &slow, &format!("query {i} at {threads} threads"));
+            }
+            let fast = index.try_retrieve_batch(&queries, &db, &dtw, k, p).unwrap();
+            let slow = index
+                .try_retrieve_batch(&queries, &db, &full, k, p)
+                .unwrap();
+            for (i, (f, s)) in fast.iter().zip(&slow).enumerate() {
+                assert_same_outcome(f, s, &format!("batch query {i} at {threads} threads"));
+            }
+        });
+    }
+    assert!(
+        probe.1.load(std::sync::atomic::Ordering::Relaxed) > 0,
+        "the refine step never handed a bound the distance exceeded"
+    );
+
+    // Every refine evaluation still counts as one exact distance.
+    for q in &queries {
+        let counting = CountingDistance::new(dtw);
+        let outcome = index.try_retrieve(q, &db, &counting, k, p).unwrap();
+        assert_eq!(counting.count() as usize, outcome.total_cost());
+        let counting_full = CountingDistance::new(FullDtw(dtw));
+        let _ = index.try_retrieve(q, &db, &counting_full, k, p).unwrap();
+        assert_eq!(counting_full.count(), counting.count());
+    }
+
+    // The mutable indexes read candidates in place through the same
+    // selection; check them fresh and after online edits.
+    let mut dynamic = DynamicIndex::new(model.clone(), db.clone(), &dtw);
+    let concurrent = ConcurrentIndex::from_dynamic(DynamicIndex::new(model, db.clone(), &dtw));
+    let reader = concurrent.reader();
+    let check = |dynamic: &DynamicIndex<TimeSeries>, label: &str| {
+        let fast = dynamic.try_retrieve_batch(&queries, &dtw, k, p).unwrap();
+        let slow = dynamic.try_retrieve_batch(&queries, &full, k, p).unwrap();
+        assert_eq!(fast, slow, "{label}: dynamic batch");
+        let fast = reader.try_retrieve_batch(&queries, &dtw, k, p).unwrap();
+        let slow = reader.try_retrieve_batch(&queries, &full, k, p).unwrap();
+        assert_eq!(fast, slow, "{label}: concurrent batch");
+        for (i, q) in queries.iter().enumerate() {
+            let fast = dynamic.try_retrieve(q, &dtw, k, p).unwrap();
+            assert_eq!(
+                fast,
+                dynamic.try_retrieve(q, &full, k, p).unwrap(),
+                "{label}: dynamic {i}"
+            );
+            let read = reader.try_retrieve(q, &dtw, k, p).unwrap();
+            assert_eq!(
+                read,
+                reader.try_retrieve(q, &full, k, p).unwrap(),
+                "{label}: concurrent {i}"
+            );
+            assert_eq!(read, fast, "{label}: concurrent vs dynamic {i}");
+        }
+    };
+    check(&dynamic, "freshly built");
+    let mut writer = concurrent.writer();
+    for (i, s) in generator
+        .generate_unlabeled(6, &mut rng)
+        .into_iter()
+        .enumerate()
+    {
+        dynamic.insert(s.clone(), &dtw);
+        writer.insert(s, &dtw);
+        if i % 2 == 1 {
+            dynamic.remove(i * 11);
+            writer.remove(i * 11);
+        }
+    }
+    check(&dynamic, "after inserts and removes");
+}
+
+#[test]
+fn early_abandoning_knn_keeps_nan_and_infinite_distances_where_the_full_sort_puts_them() {
+    // Finite series come first, so the running k-th distance is finite by
+    // the time the non-finite ones arrive. A NaN sample makes NaN costs
+    // (with either sign bit), an infinite one infinite costs; `total_cmp`
+    // ranks a negative NaN below every number, so dropping it would change
+    // the result.
+    use query_sensitive_embeddings::retrieval::knn::knn;
+    let (inf, nan) = (f64::INFINITY, f64::NAN);
+    let query = TimeSeries::univariate([0.0, 1.0, 0.5, -1.0, 0.0, 2.0]);
+    let db: Vec<TimeSeries> = [
+        vec![0.0, 1.0, 0.5, -1.0, 0.0, 1.5],
+        vec![3.0, 1.0, 0.0, 0.0, 2.0, 2.0],
+        vec![5.0, 5.0, 4.0, 3.0, 5.0, 5.0],
+        vec![-nan; 6],
+        vec![nan; 6],
+        vec![0.0, -nan, 0.5, -1.0, 0.0, 2.0],
+        vec![inf, 1.0, 0.5, -1.0, 0.0, 2.0],
+        vec![9.0, 9.0, 9.0, 9.0, 9.0, -nan],
+        vec![0.0, 1.0, 0.5, -1.0, 0.0, 1.9],
+    ]
+    .into_iter()
+    .map(TimeSeries::univariate)
+    .collect();
+    for dtw in [
+        ConstrainedDtw::paper(),
+        ConstrainedDtw::with_absolute_band(1),
+        ConstrainedDtw::unconstrained(),
+    ] {
+        let full = FullDtw(dtw);
+        for k in 1..=db.len() {
+            let fast = knn(&query, &db, &dtw, k);
+            let slow = knn(&query, &db, &full, k);
+            assert_eq!(fast.neighbors, slow.neighbors, "{dtw:?} k {k}");
+            let bits = |d: &[f64]| d.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&fast.distances),
+                bits(&slow.distances),
+                "{dtw:?} k {k}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_tie_at_the_kth_distance_goes_to_the_lower_index_even_when_it_is_refined_later() {
+    // Constant series at levels +c and -c are exactly equally far from the
+    // all-zero query under cDTW (8 · |c|), but embed differently, so the
+    // filter can hand the refine step the higher index of a tied pair
+    // first. The early-abandoning refine must still keep the lower index.
+    let dtw = ConstrainedDtw::paper();
+    let constant = |level: f64| TimeSeries::univariate(std::iter::repeat_n(level, 8));
+    let pool: Vec<TimeSeries> = (0..24)
+        .map(|i| constant((i as f64 - 11.5) * 0.37))
+        .collect();
+    let model = train_series_model(&pool, &dtw);
+    let query = constant(0.0);
+    let levels = [0.5, 3.0, -3.0, 2.0, 1.0, -2.0, -1.0, 4.0];
+    let k = 2; // best: 0.5; second: one of the ±1 pair.
+    let mut higher_first = 0;
+    for swap in [false, true] {
+        let mut db: Vec<TimeSeries> = levels.iter().map(|&l| constant(l)).collect();
+        if swap {
+            db.swap(4, 6);
+        }
+        let index = FilterRefineIndex::build_query_sensitive(model.clone(), &db, &dtw);
+        let (order, _) = index.filter_top_p(&query, &dtw, db.len());
+        if order.iter().position(|&i| i == 6) < order.iter().position(|&i| i == 4) {
+            higher_first += 1;
+        }
+        let outcome = index.try_retrieve(&query, &db, &dtw, k, db.len()).unwrap();
+        assert_eq!(
+            outcome.neighbors,
+            vec![0, 4],
+            "swap {swap}: filter order {order:?}"
+        );
+        assert_eq!(outcome.distances, vec![4.0, 8.0]);
+        let dynamic = DynamicIndex::new(model.clone(), db.clone(), &dtw);
+        let full = FullDtw(dtw);
+        assert_eq!(
+            dynamic.try_retrieve(&query, &dtw, k, db.len()).unwrap(),
+            dynamic.try_retrieve(&query, &full, k, db.len()).unwrap()
+        );
+    }
+    assert_eq!(
+        higher_first, 1,
+        "the tied pair never arrived higher index first"
+    );
 }
