@@ -3,23 +3,24 @@
 //! (global L1) filter steps, at database sizes 1k and 10k — plus two
 //! substrate microbenchmarks:
 //!
-//! * `filter_kernel/*` — the blocked `WeightedL1::eval_flat` batch kernel
-//!   against the row-by-row scalar `eval` loop over the same flat store;
-//! * `batch_kernel/*` — the Q×N tiled `WeightedL1::eval_flat_batch` kernel
-//!   (256 queries per pass, database rows amortized across a tile of query
-//!   rows) against the per-query `eval_flat` loop it batches;
+//! * `filter_kernel/*` — a one-query `FlatStore::scan` (the blocked
+//!   decode tile) against the row-by-row scalar `eval` loop over the same
+//!   flat store;
+//! * `batch_kernel/*` — a 256-query batch scanned in
+//!   `QUERY_TILE`-query `FlatStore::scan` tiles (database rows amortized
+//!   across a tile of query rows) against the one-query-per-scan loop it
+//!   batches, both on the calling thread;
 //! * `fanout_substrate/*` — a 256-chunk `par_map` on the persistent worker
 //!   pool against the same fan-out on freshly spawned `std::thread::scope`
 //!   threads (the substrate the pool replaced);
-//! * `store_backend/*` — the Q×N tiled batch kernel over every filter-store
-//!   precision (`f64` / `f32` / `u8`-quantized flat stores) at dims 8 and
-//!   32, database sizes 1k and 10k: the memory-bandwidth axis of the filter
-//!   scan (outputs differ only by the backends' documented rounding, pinned
-//!   by the workspace store-backend tests). The `u8int` cells scan the same
-//!   `u8` store through the in-domain integer SAD path the retrieval
-//!   pipelines dispatch to (`qse_distance::sad`) — no per-value
-//!   dequantization — next to the decode-path `u8` cells they replace on
-//!   the hot path.
+//! * `store_backend/*` — `FlatStore::scan`, tiled batch and single query,
+//!   over every filter-store precision (`f64` / `f32` / `u8`-quantized flat
+//!   stores) at dims 8 and 32, database sizes 1k and 10k: the
+//!   memory-bandwidth axis of the filter scan. The `f64` and `f32` cells
+//!   run the decode tile; the `u8` cells run the in-domain integer SAD
+//!   tile (`qse_distance::sad`) — no per-value dequantization. Outputs
+//!   differ only by the backends' documented error bounds, pinned by the
+//!   workspace store-backend tests.
 //! * `routed/*` — the cluster-routed candidate-generation layer
 //!   (`qse_retrieval::routed`) head-to-head against the unrouted full-scan
 //!   pipeline it wraps, on deterministic mixture-of-Gaussians workloads
@@ -64,6 +65,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qse_core::{BoostMapTrainer, TrainerConfig, TrainingData, TripleSampler};
 use qse_distance::traits::{FnDistance, MetricProperties};
+use qse_distance::vector::QUERY_TILE;
 use qse_distance::{FilterElem, FlatStore, FlatVectors, WeightedL1};
 use qse_retrieval::FilterRefineIndex;
 use rand::rngs::StdRng;
@@ -228,8 +230,8 @@ fn bench_query_throughput(c: &mut Criterion) {
     }
 }
 
-/// Kernel vs scalar: score one query against every row of a flat store.
-/// `eval_flat` is the blocked lane kernel the filter step runs; the scalar
+/// Scan vs scalar: score one query against every row of a flat store.
+/// `scan` is the blocked decode tile the filter step runs; the scalar
 /// baseline is the row-by-row `eval` loop it replaced (results are
 /// bit-identical — asserted by the workspace property tests — so this
 /// measures pure kernel speedup).
@@ -238,7 +240,7 @@ fn bench_filter_kernel(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(11);
     let weights: Vec<f64> = (0..DIM).map(|_| rng.gen_range(0.1..2.0)).collect();
     let query: Vec<f64> = (0..DIM).map(|_| rng.gen_range(-10.0..10.0)).collect();
-    let d = WeightedL1::new(weights);
+    let d = WeightedL1::new(weights.clone());
     for &db_size in &[1_000usize, 10_000] {
         let rows: Vec<Vec<f64>> = (0..db_size)
             .map(|_| (0..DIM).map(|_| rng.gen_range(-10.0..10.0)).collect())
@@ -246,9 +248,9 @@ fn bench_filter_kernel(c: &mut Criterion) {
         let store = FlatVectors::from_rows_with_dim(DIM, rows);
         let mut out = vec![0.0; store.len()];
         let mut group = c.benchmark_group("filter_kernel");
-        group.bench_with_input(BenchmarkId::new("eval_flat", db_size), &db_size, |b, _| {
+        group.bench_with_input(BenchmarkId::new("scan", db_size), &db_size, |b, _| {
             b.iter(|| {
-                d.eval_flat(black_box(&query), black_box(&store), &mut out);
+                store.scan(black_box(&query), &weights, &mut out);
                 black_box(out[db_size - 1])
             })
         });
@@ -268,12 +270,31 @@ fn bench_filter_kernel(c: &mut Criterion) {
     }
 }
 
-/// Tiled batch kernel vs per-query scans: score a 256-query batch against
-/// every row of a flat store. `eval_flat_batch` streams the database once
-/// per [`qse_distance::vector::QUERY_TILE`]-query tile; the baseline is the
-/// per-query `eval_flat` loop that re-streams the whole store for every
-/// query (outputs are bit-identical — asserted by the workspace property
-/// tests — so this measures pure tiling speedup).
+/// Score every query row of `queries` against `store` the way the batched
+/// pipelines do, one `QUERY_TILE`-query `scan` per tile — here on the
+/// calling thread, so the cell measures tiling alone.
+fn scan_in_tiles<E: FilterElem>(
+    store: &FlatStore<E>,
+    queries: &FlatVectors,
+    weights: &[f64],
+    out: &mut [f64],
+) {
+    let dim = queries.dim();
+    for (coords, tile_out) in queries
+        .as_slice()
+        .chunks(QUERY_TILE * dim)
+        .zip(out.chunks_mut(QUERY_TILE * store.len()))
+    {
+        store.scan(coords, weights, tile_out);
+    }
+}
+
+/// Tiled scans vs per-query scans: score a 256-query batch against every
+/// row of a flat store. The tiled side streams the database once per
+/// [`QUERY_TILE`]-query tile; the baseline scans one query at a time,
+/// re-streaming the whole store for every query (outputs are bit-identical
+/// — asserted by the workspace property tests — so this measures pure
+/// tiling speedup).
 fn bench_batch_kernel(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(12);
     // dim 8 matches the filter_kernel group; dim 32 is a realistic trained
@@ -281,7 +302,6 @@ fn bench_batch_kernel(c: &mut Criterion) {
     // the tile's row-load amortization pays off.
     for &dim in &[8usize, 32] {
         let weights: Vec<f64> = (0..dim).map(|_| rng.gen_range(0.1..2.0)).collect();
-        let d = WeightedL1::new(weights);
         let queries = FlatVectors::from_rows_with_dim(
             dim,
             (0..BATCH)
@@ -296,22 +316,22 @@ fn bench_batch_kernel(c: &mut Criterion) {
             let mut out = vec![0.0; BATCH * store.len()];
             let mut group = c.benchmark_group("batch_kernel");
             group.bench_with_input(
-                BenchmarkId::new(format!("eval_flat_batch/{BATCH}q/dim{dim}"), db_size),
+                BenchmarkId::new(format!("scan_tiles/{BATCH}q/dim{dim}"), db_size),
                 &db_size,
                 |b, _| {
                     b.iter(|| {
-                        d.eval_flat_batch(black_box(&queries), black_box(&store), &mut out);
+                        scan_in_tiles(black_box(&store), black_box(&queries), &weights, &mut out);
                         black_box(out[out.len() - 1])
                     })
                 },
             );
             group.bench_with_input(
-                BenchmarkId::new(format!("per_query_eval_flat/{BATCH}q/dim{dim}"), db_size),
+                BenchmarkId::new(format!("per_query_scan/{BATCH}q/dim{dim}"), db_size),
                 &db_size,
                 |b, _| {
                     b.iter(|| {
                         for (q, slot) in out.chunks_mut(db_size).enumerate() {
-                            d.eval_flat(black_box(queries.row(q)), black_box(&store), slot);
+                            store.scan(black_box(queries.row(q)), &weights, slot);
                         }
                         black_box(out[out.len() - 1])
                     })
@@ -322,76 +342,44 @@ fn bench_batch_kernel(c: &mut Criterion) {
     }
 }
 
-/// How one `store_backend` cell scans its store: the decode-path kernels
-/// (`eval_flat*` — exact decoded-row scores), or the backend-dispatched
-/// filter path (`eval_filter*` — the in-domain integer SAD kernel on
-/// `u8`, labelled `u8int` in the ids, which is what the retrieval
-/// pipelines actually run).
-#[derive(Clone, Copy)]
-enum ScanPath {
-    Decode,
-    Filter,
-}
-
-/// One `store_backend` cell: the tiled-batch and single-query kernels
-/// over a `FlatStore<E>` built from the same full-precision rows as every
-/// other backend, so the only variables are the bytes the scan streams
-/// per coordinate and the `ScanPath` arithmetic. Comparing `u8int`
-/// (filter path) to `u8` (decode path) isolates what skipping the
-/// per-value dequantization buys; comparing it to `f64` shows whether the
-/// compact store is the fastest one outright.
+/// One `store_backend` cell: the tiled-batch and single-query scans over a
+/// `FlatStore<E>` built from the same full-precision rows as every other
+/// backend, so the only variables are the bytes the scan streams per
+/// coordinate and the backend's scan arithmetic (decode tile for `f64` /
+/// `f32`, integer SAD tile for `u8`). Comparing `u8` to `f64` shows
+/// whether the compact store is the fastest one outright.
 fn bench_store_backend_cell<E: FilterElem>(
     c: &mut Criterion,
-    d: &WeightedL1,
+    weights: &[f64],
     queries: &FlatVectors,
     rows: &[Vec<f64>],
     dim: usize,
     db_size: usize,
-    path: ScanPath,
 ) {
-    // The filter path's id gets an `int` suffix (`u8int`): it is only
-    // benchmarked where it differs from the decode path.
-    let label = match path {
-        ScanPath::Decode => E::NAME.to_string(),
-        ScanPath::Filter => format!("{}int", E::NAME),
-    };
+    let label = E::NAME;
     let store = FlatStore::<E>::from_rows_with_dim(dim, rows.to_vec());
     let mut out = vec![0.0; queries.len() * store.len()];
     let mut group = c.benchmark_group("store_backend");
     group.bench_with_input(
-        BenchmarkId::new(
-            format!("eval_flat_batch/{label}/{BATCH}q/dim{dim}"),
-            db_size,
-        ),
+        BenchmarkId::new(format!("scan_tiles/{label}/{BATCH}q/dim{dim}"), db_size),
         &db_size,
         |b, _| {
             b.iter(|| {
-                match path {
-                    ScanPath::Decode => {
-                        d.eval_flat_batch(black_box(queries), black_box(&store), &mut out)
-                    }
-                    ScanPath::Filter => {
-                        d.eval_filter_batch(black_box(queries), black_box(&store), &mut out)
-                    }
-                }
+                scan_in_tiles(black_box(&store), black_box(queries), weights, &mut out);
                 black_box(out[out.len() - 1])
             })
         },
     );
     // The single-query scan streams the whole store once per query (no
     // cross-query amortization), so it is the most bandwidth-sensitive
-    // entry point — the one a compact backend helps first.
+    // shape — the one a compact backend helps first.
     let mut single_out = vec![0.0; store.len()];
     group.bench_with_input(
-        BenchmarkId::new(format!("eval_flat/{label}/dim{dim}"), db_size),
+        BenchmarkId::new(format!("scan/{label}/dim{dim}"), db_size),
         &db_size,
         |b, _| {
             b.iter(|| {
-                let query = black_box(queries.row(0));
-                match path {
-                    ScanPath::Decode => d.eval_flat(query, black_box(&store), &mut single_out),
-                    ScanPath::Filter => d.eval_filter(query, black_box(&store), &mut single_out),
-                }
+                store.scan(black_box(queries.row(0)), weights, &mut single_out);
                 black_box(single_out[single_out.len() - 1])
             })
         },
@@ -399,8 +387,8 @@ fn bench_store_backend_cell<E: FilterElem>(
     group.finish();
 }
 
-/// Filter-store precision axis: the same Q×N tiled scan over `f64`, `f32`
-/// and `u8`-quantized storage. At dim 8 a 10k-row `f64` store (640 KB)
+/// Filter-store precision axis: the same scans over `f64`, `f32` and
+/// `u8`-quantized storage. At dim 8 a 10k-row `f64` store (640 KB)
 /// already fits in L2, which the ROADMAP flagged as the reason the tiling
 /// win did not show there — the compact backends shrink the resident set
 /// (320 KB / 80 KB) and the streamed traffic with it. At dim 32 the `f64`
@@ -409,7 +397,6 @@ fn bench_store_backends(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(13);
     for &dim in &[8usize, 32] {
         let weights: Vec<f64> = (0..dim).map(|_| rng.gen_range(0.1..2.0)).collect();
-        let d = WeightedL1::new(weights);
         let queries = FlatVectors::from_rows_with_dim(
             dim,
             (0..BATCH)
@@ -420,13 +407,9 @@ fn bench_store_backends(c: &mut Criterion) {
             let rows: Vec<Vec<f64>> = (0..db_size)
                 .map(|_| (0..dim).map(|_| rng.gen_range(-10.0..10.0)).collect())
                 .collect();
-            // The filter path only differs from the decode path on u8
-            // (it is bit-identical on the exact backends), so only the u8
-            // cell gets a second, `u8int`, run.
-            bench_store_backend_cell::<f64>(c, &d, &queries, &rows, dim, db_size, ScanPath::Decode);
-            bench_store_backend_cell::<f32>(c, &d, &queries, &rows, dim, db_size, ScanPath::Decode);
-            bench_store_backend_cell::<u8>(c, &d, &queries, &rows, dim, db_size, ScanPath::Decode);
-            bench_store_backend_cell::<u8>(c, &d, &queries, &rows, dim, db_size, ScanPath::Filter);
+            bench_store_backend_cell::<f64>(c, &weights, &queries, &rows, dim, db_size);
+            bench_store_backend_cell::<f32>(c, &weights, &queries, &rows, dim, db_size);
+            bench_store_backend_cell::<u8>(c, &weights, &queries, &rows, dim, db_size);
         }
     }
 }

@@ -49,7 +49,8 @@ impl EmbeddedQuery {
     ///
     /// Delegates to the workspace's canonical blocked weighted-L1 routine
     /// (`qse_distance::vector::weighted_l1_row`), so the result is
-    /// bit-identical to what [`Self::score_flat`] writes for the same row.
+    /// bit-identical to what [`Self::score_filter`] writes for the same row
+    /// of an exact (`f64`) store.
     ///
     /// # Panics
     /// Panics if `x` has the wrong dimensionality.
@@ -58,47 +59,27 @@ impl EmbeddedQuery {
         qse_distance::vector::weighted_l1_row(&self.weights, &self.coordinates, x)
     }
 
-    /// Score this query against every row of a flat vector store in one
-    /// pass: `out[i] = D_out(F_out(q), row_i)`. This is the query-sensitive
-    /// filter step's hot kernel — no per-row allocation, blocked
-    /// auto-vectorizable reduction, generic over the store's [`FilterElem`]
-    /// precision: on the exact (`f64`) backend it is bit-identical to
-    /// calling [`Self::distance_to`] row by row, on the compact backends it
-    /// scores the decoded rows.
+    /// The query-sensitive filter step: `out[i]` scores this query against
+    /// row `i` of the store through [`FlatStore::scan`]. On the exact
+    /// backends that is `D_out(F_out(q), row_i)` over the decoded row,
+    /// bit-identical to [`Self::distance_to`] on an `f64` store; on `u8`
+    /// the query is quantized onto the store's grid and scored by the
+    /// integer weighted SAD (`qse_distance::sad`), within the documented
+    /// query-side bound — which the retrieval pipelines' exact refine step
+    /// absorbs.
     ///
     /// # Panics
-    /// Panics if the store's dimensionality differs from the query's or
-    /// `out.len() != vectors.len()`.
-    pub fn score_flat<E: FilterElem>(&self, vectors: &FlatStore<E>, out: &mut [f64]) {
-        qse_distance::vector::weighted_l1_flat(&self.weights, &self.coordinates, vectors, out)
-    }
-
-    /// The **filter-path** counterpart of [`Self::score_flat`]: dispatched
-    /// through the store backend's `FilterElem::scan_filter`, so the exact
-    /// backends run the decode kernel bit-identically to
-    /// [`Self::score_flat`] while `u8` stores are scanned by the in-domain
-    /// integer SAD kernel (`qse_distance::sad`) — the query's coordinates
-    /// are quantized onto the store's grid and scores carry the documented
-    /// query-side quantization error, which the retrieval pipelines'
-    /// exact-distance refine step absorbs. This is what the
-    /// filter-and-refine indexes call in their filter step.
-    ///
-    /// # Panics
-    /// As [`Self::score_flat`].
+    /// As [`FlatStore::scan`]: the store's dimensionality must match the
+    /// query's and `out` must hold one slot per row.
     pub fn score_filter<E: FilterElem>(&self, vectors: &FlatStore<E>, out: &mut [f64]) {
-        qse_distance::vector::weighted_l1_filter_flat(
-            &self.weights,
-            &self.coordinates,
-            vectors,
-            out,
-        )
+        vectors.scan(&self.coordinates, &self.weights, out)
     }
 }
 
 /// A whole batch of queries embedded by a [`QseModel`]: coordinates under
 /// `F_out` and the per-query weights `A_i(q)` of the query-sensitive
 /// distance, both in flat row-major storage (row `q` belongs to query `q`)
-/// so the batched filter step can run the Q×N tiled kernel.
+/// so the batched filter step can hand whole tiles to `FlatStore::scan`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EmbeddedQueryBatch {
     /// `F_out(q)` for every query, one row per query.
@@ -134,64 +115,16 @@ impl EmbeddedQueryBatch {
         }
     }
 
-    /// One *sequential* tile of [`Self::score_flat_batch`]: score only
-    /// queries `start..end` on the calling thread, writing the row-major
-    /// `(end − start) × vectors.len()` tile into `out`. The batched
-    /// retrieval pipelines hand each worker one tile-sized range this way,
-    /// so scores land in a small tile-local buffer consumed while still
-    /// cache-hot. Bit-identical to the corresponding rows of the full
-    /// batch.
+    /// The batched filter step for queries `start..end`: one
+    /// [`FlatStore::scan`] of their coordinate and weight rows, writing the
+    /// row-major `(end − start) × vectors.len()` tile into `out` on the
+    /// calling thread. The batched retrieval pipelines hand each worker one
+    /// tile-sized range this way, so scores land in a small tile-local
+    /// buffer consumed while still cache-hot. Every row equals
+    /// [`EmbeddedQuery::score_filter`] for its query, bit for bit.
     ///
     /// # Panics
-    /// Panics on dimensionality mismatch, an out-of-bounds query range, or
-    /// `out.len() != (end - start) * vectors.len()`.
-    pub fn score_flat_batch_range<E: FilterElem>(
-        &self,
-        start: usize,
-        end: usize,
-        vectors: &FlatStore<E>,
-        out: &mut [f64],
-    ) {
-        qse_distance::vector::weighted_l1_flat_batch_per_query_range(
-            &self.weights,
-            &self.coordinates,
-            start,
-            end,
-            vectors,
-            out,
-        )
-    }
-
-    /// Score every query of the batch against every row of a flat vector
-    /// store: `out[q * vectors.len() + i] = D_out(F_out(q_q), row_i)`,
-    /// row-major Q×N. This is the batched query-sensitive filter step — the
-    /// Q×N tiled kernel with per-query weight rows
-    /// (`qse_distance::vector::weighted_l1_flat_batch_per_query`), whose
-    /// scores are bit-identical to calling [`EmbeddedQuery::score_flat`]
-    /// query by query at any thread count.
-    ///
-    /// # Panics
-    /// Panics if the store's dimensionality differs from the batch's or
-    /// `out.len() != self.len() * vectors.len()`.
-    pub fn score_flat_batch<E: FilterElem>(&self, vectors: &FlatStore<E>, out: &mut [f64]) {
-        qse_distance::vector::weighted_l1_flat_batch_per_query(
-            &self.weights,
-            &self.coordinates,
-            vectors,
-            out,
-        )
-    }
-
-    /// The **filter-path** counterpart of
-    /// [`Self::score_flat_batch_range`]: one sequential tile dispatched
-    /// through the store backend's `FilterElem::scan_filter_range` —
-    /// bit-identical to [`Self::score_flat_batch_range`] on the exact
-    /// backends, the tiled integer SAD kernel on `u8` (see
-    /// [`EmbeddedQuery::score_filter`]). The batched retrieval pipelines
-    /// score their per-tile filter step through this.
-    ///
-    /// # Panics
-    /// As [`Self::score_flat_batch_range`].
+    /// Panics on an out-of-bounds query range, and as [`FlatStore::scan`].
     pub fn score_filter_batch_range<E: FilterElem>(
         &self,
         start: usize,
@@ -199,27 +132,10 @@ impl EmbeddedQueryBatch {
         vectors: &FlatStore<E>,
         out: &mut [f64],
     ) {
-        qse_distance::vector::weighted_l1_filter_batch_per_query_range(
-            &self.weights,
-            &self.coordinates,
-            start,
-            end,
-            vectors,
-            out,
-        )
-    }
-
-    /// The **filter-path** counterpart of [`Self::score_flat_batch`]
-    /// (whole batch, backend-dispatched tiled scan on the persistent
-    /// worker pool; see [`EmbeddedQuery::score_filter`]).
-    ///
-    /// # Panics
-    /// As [`Self::score_flat_batch`].
-    pub fn score_filter_batch<E: FilterElem>(&self, vectors: &FlatStore<E>, out: &mut [f64]) {
-        qse_distance::vector::weighted_l1_filter_batch_per_query(
-            &self.weights,
-            &self.coordinates,
-            vectors,
+        let rows = start * self.dim()..end * self.dim();
+        vectors.scan(
+            &self.coordinates.as_slice()[rows.clone()],
+            &self.weights.as_slice()[rows],
             out,
         )
     }
@@ -352,7 +268,7 @@ impl<O: Clone + Send + Sync> QseModel<O> {
     }
 
     /// Embed a whole query batch into flat row-major storage — coordinates
-    /// and per-query weights — ready for the Q×N tiled filter kernel.
+    /// and per-query weights — ready for the batched filter scan.
     ///
     /// The embedding step (the exact-distance part, `queries.len() ×`
     /// [`Self::embedding_cost`] computations in total) fans out across rayon
@@ -695,23 +611,25 @@ mod tests {
     }
 
     #[test]
-    fn score_flat_batch_matches_per_query_score_flat() {
+    fn score_filter_batch_range_matches_per_query_score_filter() {
         let m = example_model();
         let d = abs();
         let queries = [0.5, 4.0, 9.5];
         let store = FlatVectors::from_rows(vec![vec![2.0, 8.0], vec![7.0, 3.0], vec![0.0, 10.0]]);
         let batch = m.embed_queries(&queries, &d);
         let mut scores = vec![f64::NAN; queries.len() * store.len()];
-        batch.score_flat_batch(&store, &mut scores);
+        batch.score_filter_batch_range(0, queries.len(), &store, &mut scores);
         let mut single = vec![f64::NAN; store.len()];
         for (q, query) in queries.iter().enumerate() {
-            m.embed_query(query, &d).score_flat(&store, &mut single);
+            let eq = m.embed_query(query, &d);
+            eq.score_filter(&store, &mut single);
             for (i, score) in single.iter().enumerate() {
                 assert_eq!(
                     scores[q * store.len() + i].to_bits(),
                     score.to_bits(),
                     "query {q}, row {i}"
                 );
+                assert_eq!(score.to_bits(), eq.distance_to(store.row(i)).to_bits());
             }
         }
     }

@@ -16,24 +16,22 @@
 //!
 //! * [`vector`] — `Lp` norms, the plain and *weighted* `L1` distances used to
 //!   compare embedded vectors (Section 5.4), the flat row-major
-//!   [`FlatVectors`] store, the blocked [`WeightedL1::eval_flat`] batch
-//!   kernel behind the filter step's hot scan, and its Q×N tiled companion
-//!   [`WeightedL1::eval_flat_batch`] that scores a whole query batch per
-//!   pass over the database (tile layout and bit-identity guarantees are
+//!   [`FlatVectors`] store, and the filter step's one scan entry point,
+//!   [`FlatStore::scan`]: a batch of query rows (one query is a batch of
+//!   one) under shared or per-query weights against every stored row, on
+//!   the calling thread (tile layout and bit-identity guarantees are
 //!   documented in the [`vector`] module). The store is generic over its
 //!   element precision ([`FilterElem`]: exact `f64`, compact `f32`, or
 //!   `u8` scalar quantization — [`FlatVectors`] is the `f64` default), so
 //!   the filter scan can trade precision for memory bandwidth while the
 //!   refine step keeps final rankings exact.
-//! * [`sad`] — the in-domain integer scoring path for the `u8` store:
-//!   quantize the query onto the store's grid, accumulate the weighted
-//!   sum of absolute `u8` differences in widened integer arithmetic, and
-//!   apply one per-query rescale — no per-value dequantization in the
-//!   scan, which is what finally makes the 8×-smaller store also the
-//!   *fastest* one on compute-bound hosts. The retrieval pipelines reach
-//!   it through the [`FilterElem`] filter-path dispatch
-//!   (`scan_filter` / `scan_filter_range`), which the exact backends
-//!   satisfy with the decode kernels bit-identically.
+//! * [`sad`] — the in-domain integer scan of the `u8` store, which it
+//!   plugs in through the [`FilterElem::scan`] hook: quantize the query
+//!   onto the store's grid, accumulate the weighted sum of absolute `u8`
+//!   differences in widened integer arithmetic, and apply one per-query
+//!   rescale — no per-value dequantization in the scan, which is what
+//!   makes the 8×-smaller store also the *fastest* one on compute-bound
+//!   hosts. The exact backends keep the default hook, the decode tile.
 //! * [`dtw`] — constrained (Sakoe–Chiba band) Dynamic Time Warping over
 //!   multi-dimensional sequences, the exact distance of the time-series
 //!   experiments (Section 9).
@@ -66,7 +64,6 @@ pub mod dtw;
 pub mod edit;
 pub mod hungarian;
 pub mod kl;
-pub mod lb_keogh;
 pub mod matrix;
 pub mod mmap;
 pub mod sad;
@@ -79,7 +76,7 @@ pub use counting::CountingDistance;
 pub use dtw::{ConstrainedDtw, TimeSeries};
 pub use matrix::DistanceMatrix;
 pub use mmap::{MapError, MapRegion};
-pub use sad::{SadQuery, SadQueryBatch};
+pub use sad::SadQuery;
 pub use shape_context::{PointSet, ShapeContextDistance};
 pub use storage::{MappedSlice, MappedWords, Storage};
 pub use traits::{DistanceMeasure, MetricProperties};

@@ -1,12 +1,13 @@
 //! In-domain integer scoring for the `u8` quantized filter store: the
-//! weighted sum-of-absolute-differences (SAD) kernels.
+//! weighted sum-of-absolute-differences (SAD) tile behind
+//! [`FlatStore::scan`] on `FlatStore<u8>`.
 //!
-//! The decode-path kernels in [`crate::vector`] score a `u8` store by
-//! dequantizing each cache-sized block back to `f64` and running the
-//! canonical weighted-L1 reduction — correct, but the dequantization
-//! arithmetic (`lo + s · v` per stored value) makes the compact store
-//! *slower* than `f64` on compute-bound hosts. The kernels here never
-//! leave the integer domain:
+//! Scoring a `u8` store like the exact backends — dequantize each
+//! cache-sized block back to `f64`, then run the canonical weighted-L1
+//! reduction — is correct, but the dequantization arithmetic (`lo + s · v`
+//! per stored value) makes the compact store *slower* than `f64` on
+//! compute-bound hosts. So `u8` overrides [`FilterElem::scan`] with a tile
+//! that never leaves the integer domain:
 //!
 //! 1. **Quantize the query onto the store's grid** at scoring time
 //!    ([`SadQuery::new`]): coordinate `j` of the query becomes the level
@@ -27,10 +28,10 @@
 //!    per-value dequantization anywhere in the scan.
 //! 4. **One per-query rescale** maps the integer sum back to score
 //!    units: `score = offset + rescale · sum`. Integer addition is
-//!    associative, so — unlike the floating-point kernels, which need
-//!    one canonical summation order — the single-query, batched and
-//!    tiled SAD kernels are **bit-identical** to each other *by
-//!    construction*, at any thread count.
+//!    associative, so — unlike the floating-point decode tile, which
+//!    needs one canonical summation order — every score of the SAD tile
+//!    equals its query's per-row score **bit for bit** *by
+//!    construction*, whatever the batch shape or thread count.
 //!
 //! ## Exactness of the `offset`
 //!
@@ -69,8 +70,7 @@
 //! encodes to level 0 exactly like [`FilterElem::encode`] for stored
 //! rows.
 
-use crate::vector::{FilterElem, FlatStore, FlatVectors, QuantParams, QUERY_TILE};
-use rayon::prelude::*;
+use crate::vector::{FilterElem, FlatStore, QuantParams};
 
 /// Number of integer weight levels the combined per-coordinate weights
 /// `w_j · scale_j` are rounded onto (the largest one maps to exactly this
@@ -88,10 +88,10 @@ pub const SAD_WEIGHT_LEVELS: u32 = u16::MAX as u32;
 /// fold is almost always a single widening move.
 pub const SAD_CHUNK: usize = 128;
 
-/// Number of `u8` values per database block of the tiled SAD kernels
-/// (32 KiB — the same byte footprint as the decode-path kernels'
+/// Number of `u8` values per database block of the SAD tile (32 KiB —
+/// the same byte footprint as the decode tile's
 /// [`crate::vector::BLOCK_VALUES`] `f64` blocks, sized to the L1 data
-/// cache). A block is rescanned by every query of a tile while hot.
+/// cache). A block is rescanned by every query of a scan while hot.
 pub const SAD_BLOCK_VALUES: usize = 32 * 1024;
 
 /// One `u32` chunk of the weighted SAD: up to [`SAD_CHUNK`] coordinates
@@ -123,69 +123,12 @@ fn weighted_sad_chunk(iweights: &[u16], codes: &[u8], row: &[u8]) -> u32 {
     acc.iter().sum::<u32>() + tail
 }
 
-/// One `u32` chunk of the weighted SAD over a **pair** of database rows:
-/// the weight levels and query codes are loaded once per lane and reused
-/// against both rows, with one independent accumulator set per row. Each
-/// half accumulates exactly the lane products of [`weighted_sad_chunk`]
-/// on its row, so the pair result equals two single-row chunks bit for
-/// bit — the pairing only amortizes the shared query-side loads and the
-/// per-chunk loop control.
-#[inline]
-fn weighted_sad_chunk_pair(
-    iweights: &[u16],
-    codes: &[u8],
-    row_a: &[u8],
-    row_b: &[u8],
-) -> (u32, u32) {
-    debug_assert!(iweights.len() <= SAD_CHUNK, "chunk exceeds u32 capacity");
-    const LANES: usize = 8;
-    let mut acc_a = [0u32; LANES];
-    let mut acc_b = [0u32; LANES];
-    let mut w_blocks = iweights.chunks_exact(LANES);
-    let mut q_blocks = codes.chunks_exact(LANES);
-    let mut a_blocks = row_a.chunks_exact(LANES);
-    let mut b_blocks = row_b.chunks_exact(LANES);
-    for (((w, q), a), b) in (&mut w_blocks)
-        .zip(&mut q_blocks)
-        .zip(&mut a_blocks)
-        .zip(&mut b_blocks)
-    {
-        // Two independent lane loops (not one interleaved loop): each has
-        // the exact shape of the single-row kernel's — one output stream,
-        // no cross-row dependence — so the auto-vectorizer packs each the
-        // same way, while `w`/`q` stay register-resident across both.
-        for lane in 0..LANES {
-            acc_a[lane] += u32::from(w[lane]) * u32::from(q[lane].abs_diff(a[lane]));
-        }
-        for lane in 0..LANES {
-            acc_b[lane] += u32::from(w[lane]) * u32::from(q[lane].abs_diff(b[lane]));
-        }
-    }
-    let mut tail_a = 0u32;
-    let mut tail_b = 0u32;
-    for (((w, q), a), b) in w_blocks
-        .remainder()
-        .iter()
-        .zip(q_blocks.remainder())
-        .zip(a_blocks.remainder())
-        .zip(b_blocks.remainder())
-    {
-        let wq = u32::from(*w);
-        tail_a += wq * u32::from(q.abs_diff(*a));
-        tail_b += wq * u32::from(q.abs_diff(*b));
-    }
-    (
-        acc_a.iter().sum::<u32>() + tail_a,
-        acc_b.iter().sum::<u32>() + tail_b,
-    )
-}
-
 /// `Σ_j iweights_j · |codes_j − row_j|` in widened integer arithmetic:
 /// `u8` absolute differences and `u16` weight levels multiply-accumulate
 /// through `u32` lanes in [`SAD_CHUNK`]-coordinate chunks (no overflow by
 /// construction, see [`SAD_CHUNK`]), and the chunks fold into a `u64`
 /// total. Integer addition is associative, so any regrouping of this sum
-/// is bit-identical — the SAD kernels need no canonical summation order.
+/// is bit-identical — the SAD tile needs no canonical summation order.
 ///
 /// The slices must share one length; full checking is left to the callers
 /// (debug builds assert).
@@ -205,55 +148,6 @@ pub fn weighted_sad_row(iweights: &[u16], codes: &[u8], row: &[u8]) -> u64 {
         total += u64::from(weighted_sad_chunk(w, a, b));
     }
     total
-}
-
-/// The weighted SAD of one query against **two** database rows in a
-/// single pass: `(Σ_j iw_j · |codes_j − a_j|, Σ_j iw_j · |codes_j − b_j|)`.
-///
-/// The query-side operands (`iweights`, `codes`) are loaded once and
-/// scored against both rows, halving the per-row loop-control and
-/// horizontal-fold overhead. Each component accumulates exactly the
-/// products of [`weighted_sad_row`] on its row — integer addition is
-/// associative — so the pair is **bit-identical** to two independent
-/// single-row calls, which the workspace tests pin.
-///
-/// Measured on the bench host, pairing *lost* to the plain per-row walk
-/// on every `eval_flat` cell (the two interleaved output streams defeat
-/// the auto-vectorizer that packs the single-row kernel), so the scan
-/// dispatch uses [`weighted_sad_row`] under ISA multiversioning instead
-/// — see `sad_rows_dispatch`. The pair kernel stays exported as a
-/// building block for callers that score ad-hoc row pairs outside a
-/// flat scan.
-///
-/// The slices must share one length; full checking is left to the callers
-/// (debug builds assert).
-#[inline]
-pub fn weighted_sad_row_pair(
-    iweights: &[u16],
-    codes: &[u8],
-    row_a: &[u8],
-    row_b: &[u8],
-) -> (u64, u64) {
-    debug_assert_eq!(iweights.len(), codes.len(), "weight/code length mismatch");
-    debug_assert_eq!(iweights.len(), row_a.len(), "weight/row length mismatch");
-    debug_assert_eq!(iweights.len(), row_b.len(), "weight/row length mismatch");
-    if iweights.len() <= SAD_CHUNK {
-        let (a, b) = weighted_sad_chunk_pair(iweights, codes, row_a, row_b);
-        return (u64::from(a), u64::from(b));
-    }
-    let mut total_a = 0u64;
-    let mut total_b = 0u64;
-    for (((w, q), a), b) in iweights
-        .chunks(SAD_CHUNK)
-        .zip(codes.chunks(SAD_CHUNK))
-        .zip(row_a.chunks(SAD_CHUNK))
-        .zip(row_b.chunks(SAD_CHUNK))
-    {
-        let (ca, cb) = weighted_sad_chunk_pair(w, q, a, b);
-        total_a += u64::from(ca);
-        total_b += u64::from(cb);
-    }
-    (total_a, total_b)
 }
 
 /// The flat SAD scan body: one query against a contiguous run of raw
@@ -461,11 +355,10 @@ impl SadQuery {
 
     /// Score a contiguous run of raw rows (`rows.len() / dim` of them)
     /// into `out` through [`sad_rows_dispatch`], which picks the widest
-    /// ISA variant the host supports. Bit-identical to
-    /// [`Self::score_row`] on every row regardless of the variant chosen
-    /// (the integer sums and the per-row `offset + rescale · sum` map
-    /// are the same operations under any codegen), which the workspace
-    /// tests pin.
+    /// ISA variant the host supports. Bit-identical on every row to
+    /// `offset + rescale · weighted_sad_row(row)` regardless of the
+    /// variant chosen (the integer sums and the per-row map are the same
+    /// operations under any codegen), which the tests below pin.
     #[inline]
     fn score_rows_into(&self, rows: &[u8], dim: usize, out: &mut [f64]) {
         debug_assert_eq!(rows.len(), out.len() * dim);
@@ -479,355 +372,38 @@ impl SadQuery {
             out,
         );
     }
+}
 
-    /// Score this query against every row of `vectors` in one integer
-    /// pass: `out[i] = offset + rescale · Σ_j iw_j · |codes_j − row_i_j|`.
-    ///
-    /// # Panics
-    /// Panics if the store's dimensionality differs from the query's or
-    /// `out.len() != vectors.len()`.
-    pub fn score(&self, vectors: &FlatStore<u8>, out: &mut [f64]) {
-        let dim = vectors.dim();
-        assert_eq!(self.dim(), dim, "query/store dimensionality mismatch");
-        assert_eq!(out.len(), vectors.len(), "one output slot per row required");
-        if dim == 0 {
-            // Zero-dimensional rows: every distance is the empty sum.
-            out.fill(0.0);
-            return;
+/// The `u8` override of [`FilterElem::scan`]: one [`SadQuery`] per query
+/// row of `coords` (under its weight row — shared, or one per query), then
+/// the store in [`SAD_BLOCK_VALUES`]-value blocks, each rescanned by every
+/// query while hot. Integer sums are associative, so every score equals its
+/// query's per-row SAD score, `offset + rescale · weighted_sad_row(row)`,
+/// bit for bit, whatever the batch shape. `FlatStore::scan` has checked the
+/// shapes and handled `dim == 0` and empty outputs.
+pub(crate) fn sad_scan(store: &FlatStore<u8>, coords: &[f64], weights: &[f64], out: &mut [f64]) {
+    let (n, dim) = (store.len(), store.dim());
+    let queries: Vec<SadQuery> = coords
+        .chunks_exact(dim)
+        .zip(weights.chunks_exact(dim).cycle())
+        .map(|(query, w)| SadQuery::new(w, query, store.params()))
+        .collect();
+    let rows_per_block = (SAD_BLOCK_VALUES / dim).max(1);
+    let mut block_start = 0usize;
+    for raw in store.as_slice().chunks(rows_per_block * dim) {
+        let block_rows = raw.len() / dim;
+        for (q, query) in queries.iter().enumerate() {
+            let out_start = q * n + block_start;
+            query.score_rows_into(raw, dim, &mut out[out_start..out_start + block_rows]);
         }
-        self.score_rows_into(vectors.as_slice(), dim, out);
+        block_start += block_rows;
     }
-}
-
-/// A batch of queries prepared for integer-domain SAD scanning — one
-/// [`SadQuery`] per row of the source batch, scored in
-/// [`QUERY_TILE`]-query tiles over [`SAD_BLOCK_VALUES`]-value database
-/// blocks so a hot block serves the whole tile before the next one
-/// streams in.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SadQueryBatch {
-    queries: Vec<SadQuery>,
-    dim: usize,
-}
-
-impl SadQueryBatch {
-    /// Prepare every row of `queries` under one *shared* weight vector.
-    ///
-    /// # Panics
-    /// Panics if `weights`, `queries` and the grid disagree in
-    /// dimensionality.
-    pub fn new_shared(weights: &[f64], queries: &FlatVectors, params: &QuantParams) -> Self {
-        Self::from_range(weights, 0, queries, 0, queries.len(), params)
-    }
-
-    /// Prepare every row of `queries` under *per-query* weight rows (the
-    /// batched query-sensitive `D_out`).
-    ///
-    /// # Panics
-    /// Panics if the weight store does not hold exactly one row per query
-    /// or any dimensionality disagrees with the grid.
-    pub fn new_per_query(
-        weights: &FlatVectors,
-        queries: &FlatVectors,
-        params: &QuantParams,
-    ) -> Self {
-        assert_eq!(
-            weights.len(),
-            queries.len(),
-            "one weight row per query required"
-        );
-        Self::from_range(
-            weights.as_slice(),
-            weights.dim(),
-            queries,
-            0,
-            queries.len(),
-            params,
-        )
-    }
-
-    /// Prepare only queries `start..end` (`w_stride == 0` shares one
-    /// weight row, `w_stride == dim` selects per-query rows) — the
-    /// building block the batched retrieval pipelines use to prepare one
-    /// tile at a time.
-    pub(crate) fn from_range(
-        weights: &[f64],
-        w_stride: usize,
-        queries: &FlatVectors,
-        start: usize,
-        end: usize,
-        params: &QuantParams,
-    ) -> Self {
-        let dim = queries.dim();
-        assert!(
-            start <= end && end <= queries.len(),
-            "query range {start}..{end} out of bounds for {} queries",
-            queries.len()
-        );
-        let prepared = (start..end)
-            .map(|q| {
-                let w = &weights[q * w_stride..q * w_stride + dim];
-                SadQuery::new(w, queries.row(q), params)
-            })
-            .collect();
-        Self {
-            queries: prepared,
-            dim,
-        }
-    }
-
-    /// Number of prepared queries.
-    pub fn len(&self) -> usize {
-        self.queries.len()
-    }
-
-    /// `true` if the batch holds no queries.
-    pub fn is_empty(&self) -> bool {
-        self.queries.is_empty()
-    }
-
-    /// The prepared form of query `q`.
-    ///
-    /// # Panics
-    /// Panics if `q` is out of bounds.
-    pub fn query(&self, q: usize) -> &SadQuery {
-        &self.queries[q]
-    }
-
-    /// Score queries `start..end` *sequentially* against every row of
-    /// `vectors` on the calling thread, writing a row-major
-    /// `(end − start) × vectors.len()` tile into `out`. Bit-identical to
-    /// scoring each query with [`SadQuery::score`] (integer sums need no
-    /// canonical order).
-    ///
-    /// # Panics
-    /// Panics on dimensionality mismatch, an out-of-bounds range, or a
-    /// wrong output length.
-    pub fn score_range(&self, start: usize, end: usize, vectors: &FlatStore<u8>, out: &mut [f64]) {
-        let n = vectors.len();
-        let dim = vectors.dim();
-        assert_eq!(self.dim, dim, "query/store dimensionality mismatch");
-        assert!(
-            start <= end && end <= self.len(),
-            "query range {start}..{end} out of bounds for {} queries",
-            self.len()
-        );
-        assert_eq!(
-            out.len(),
-            (end - start) * n,
-            "one output slot per (query, row) pair required"
-        );
-        if start == end || n == 0 {
-            return;
-        }
-        if dim == 0 {
-            out.fill(0.0);
-            return;
-        }
-        let rows_per_block = (SAD_BLOCK_VALUES / dim).max(1);
-        let mut block_start = 0usize;
-        for raw in vectors.as_slice().chunks(rows_per_block * dim) {
-            let block_rows = raw.len() / dim;
-            for (qi, query) in self.queries[start..end].iter().enumerate() {
-                let out_start = qi * n + block_start;
-                let out_block = &mut out[out_start..out_start + block_rows];
-                query.score_rows_into(raw, dim, out_block);
-            }
-            block_start += block_rows;
-        }
-    }
-
-    /// Score the whole batch against every row of `vectors`, row-major
-    /// Q×N, fanning [`QUERY_TILE`]-query tiles out across the persistent
-    /// worker pool (disjoint output ranges; bit-identical to
-    /// [`Self::score_range`] at any thread count).
-    ///
-    /// # Panics
-    /// Panics on dimensionality mismatch or a wrong output length.
-    pub fn score(&self, vectors: &FlatStore<u8>, out: &mut [f64]) {
-        let n = vectors.len();
-        assert_eq!(
-            out.len(),
-            self.len() * n,
-            "one output slot per (query, row) pair required"
-        );
-        if self.is_empty() || n == 0 || vectors.dim() == 0 {
-            return self.score_range(0, self.len(), vectors, out);
-        }
-        out.par_chunks_mut(QUERY_TILE * n)
-            .enumerate()
-            .for_each(|(tile, tile_out)| {
-                let q0 = tile * QUERY_TILE;
-                let qcount = tile_out.len() / n;
-                self.score_range(q0, q0 + qcount, vectors, tile_out);
-            });
-    }
-}
-
-/// The single-query integer SAD kernel: prepare `query` under `weights`
-/// on the store's grid and score every row in one integer pass — the
-/// in-domain counterpart of
-/// [`weighted_l1_flat`](crate::vector::weighted_l1_flat) for `u8`
-/// stores. Preparation is O(dim); the scan is O(n · dim) integer ops.
-///
-/// # Panics
-/// Panics if `weights`/`query` do not match the store's dimensionality or
-/// `out` does not have exactly one slot per row.
-pub fn weighted_sad_flat(weights: &[f64], query: &[f64], vectors: &FlatStore<u8>, out: &mut [f64]) {
-    let dim = vectors.dim();
-    assert_eq!(weights.len(), dim, "weight/store dimensionality mismatch");
-    assert_eq!(query.len(), dim, "query/store dimensionality mismatch");
-    assert_eq!(out.len(), vectors.len(), "one output slot per row required");
-    SadQuery::new(weights, query, vectors.params()).score(vectors, out);
-}
-
-/// The Q×N tiled integer SAD kernel with one *shared* weight vector — the
-/// in-domain counterpart of
-/// [`weighted_l1_flat_batch`](crate::vector::weighted_l1_flat_batch) for
-/// `u8` stores. Tiles fan out across the persistent worker pool;
-/// bit-identical to per-query [`weighted_sad_flat`] at any thread count.
-///
-/// # Panics
-/// Panics on dimensionality mismatch or a wrong output length.
-pub fn weighted_sad_flat_batch(
-    weights: &[f64],
-    queries: &FlatVectors,
-    vectors: &FlatStore<u8>,
-    out: &mut [f64],
-) {
-    let dim = vectors.dim();
-    assert_eq!(weights.len(), dim, "weight/store dimensionality mismatch");
-    assert_eq!(queries.dim(), dim, "query/store dimensionality mismatch");
-    assert_eq!(
-        out.len(),
-        queries.len() * vectors.len(),
-        "one output slot per (query, row) pair required"
-    );
-    SadQueryBatch::new_shared(weights, queries, vectors.params()).score(vectors, out);
-}
-
-/// The Q×N tiled integer SAD kernel with *per-query* weight rows (the
-/// batched query-sensitive `D_out`) — the in-domain counterpart of
-/// [`weighted_l1_flat_batch_per_query`](crate::vector::weighted_l1_flat_batch_per_query)
-/// for `u8` stores.
-///
-/// # Panics
-/// Panics if the weight store does not hold exactly one row per query, on
-/// dimensionality mismatch, or on a wrong output length.
-pub fn weighted_sad_flat_batch_per_query(
-    weights: &FlatVectors,
-    queries: &FlatVectors,
-    vectors: &FlatStore<u8>,
-    out: &mut [f64],
-) {
-    let dim = vectors.dim();
-    assert_eq!(weights.dim(), dim, "weight/store dimensionality mismatch");
-    assert_eq!(queries.dim(), dim, "query/store dimensionality mismatch");
-    assert_eq!(
-        out.len(),
-        queries.len() * vectors.len(),
-        "one output slot per (query, row) pair required"
-    );
-    SadQueryBatch::new_per_query(weights, queries, vectors.params()).score(vectors, out);
-}
-
-/// One *sequential* tile of [`weighted_sad_flat_batch`]: prepare and
-/// score only queries `start..end` on the calling thread — the entry
-/// point for callers that orchestrate their own tile fan-out (the
-/// batched retrieval pipelines). Bit-identical to the corresponding rows
-/// of the full batch kernel.
-///
-/// # Panics
-/// Panics on dimensionality mismatch, an out-of-bounds query range, or a
-/// wrong output length.
-pub fn weighted_sad_flat_batch_range(
-    weights: &[f64],
-    queries: &FlatVectors,
-    start: usize,
-    end: usize,
-    vectors: &FlatStore<u8>,
-    out: &mut [f64],
-) {
-    let dim = vectors.dim();
-    assert_eq!(weights.len(), dim, "weight/store dimensionality mismatch");
-    assert_eq!(queries.dim(), dim, "query/store dimensionality mismatch");
-    assert_eq!(
-        out.len(),
-        (end - start) * vectors.len(),
-        "one output slot per (query, row) pair required"
-    );
-    let tile = SadQueryBatch::from_range(weights, 0, queries, start, end, vectors.params());
-    tile.score_range(0, tile.len(), vectors, out);
-}
-
-/// One *sequential* tile of [`weighted_sad_flat_batch_per_query`]: like
-/// [`weighted_sad_flat_batch_range`] but query `q` is prepared under
-/// `weights.row(q)`.
-///
-/// # Panics
-/// As [`weighted_sad_flat_batch_range`], plus if the weight store does
-/// not hold exactly one row per query.
-pub fn weighted_sad_flat_batch_per_query_range(
-    weights: &FlatVectors,
-    queries: &FlatVectors,
-    start: usize,
-    end: usize,
-    vectors: &FlatStore<u8>,
-    out: &mut [f64],
-) {
-    let dim = vectors.dim();
-    assert_eq!(weights.dim(), dim, "weight/store dimensionality mismatch");
-    assert_eq!(queries.dim(), dim, "query/store dimensionality mismatch");
-    assert_eq!(
-        weights.len(),
-        queries.len(),
-        "one weight row per query required"
-    );
-    assert_eq!(
-        out.len(),
-        (end - start) * vectors.len(),
-        "one output slot per (query, row) pair required"
-    );
-    let tile = SadQueryBatch::from_range(
-        weights.as_slice(),
-        dim,
-        queries,
-        start,
-        end,
-        vectors.params(),
-    );
-    tile.score_range(0, tile.len(), vectors, out);
-}
-
-/// The internal range hook behind
-/// [`FilterElem::scan_filter_range`](crate::FilterElem::scan_filter_range)
-/// for `u8`: `w_stride` selects the shared (0) or per-query (`dim`)
-/// weight layout, exactly like the decode-path driver.
-pub(crate) fn sad_scan_range(
-    weights: &[f64],
-    w_stride: usize,
-    queries: &FlatVectors,
-    start: usize,
-    end: usize,
-    vectors: &FlatStore<u8>,
-    out: &mut [f64],
-) {
-    debug_assert_eq!(out.len(), (end - start) * vectors.len());
-    if queries.dim() != vectors.dim() {
-        // Degenerate empty-range calls tolerate a dim mismatch like the
-        // decode path (nothing is scored); real mismatches are caught by
-        // the public entry points' asserts.
-        debug_assert_eq!(start, end, "query/store dimensionality mismatch");
-        return;
-    }
-    let tile = SadQueryBatch::from_range(weights, w_stride, queries, start, end, vectors.params());
-    tile.score_range(0, tile.len(), vectors, out);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vector::{weighted_l1_flat, weighted_l1_row};
+    use crate::vector::{weighted_l1_row, FlatVectors, QUERY_TILE};
 
     fn synthetic_rows(dim: usize, rows: usize, phase: f64) -> Vec<Vec<f64>> {
         (0..rows)
@@ -837,6 +413,19 @@ mod tests {
                     .collect()
             })
             .collect()
+    }
+
+    /// The per-row SAD score of a prepared query — the reference every
+    /// scan output must equal bit for bit.
+    fn per_row(sad: &SadQuery, store: &FlatStore<u8>, i: usize) -> f64 {
+        sad.offset()
+            + sad.rescale() * weighted_sad_row(sad.iweights(), sad.codes(), store.row(i)) as f64
+    }
+
+    /// The decode-path score of row `i`: the weighted L1 against the
+    /// decoded row.
+    fn decoded(weights: &[f64], query: &[f64], store: &FlatStore<u8>, i: usize) -> f64 {
+        weighted_l1_row(weights, query, &store.decode_row(i))
     }
 
     /// SAD scores must stay within the documented query-side bound of the
@@ -852,11 +441,9 @@ mod tests {
             let query: Vec<f64> = (0..dim).map(|i| (i as f64 * 1.7).cos() * 10.0).collect();
             let sad = SadQuery::new(&weights, &query, store.params());
             let mut s_sad = vec![f64::NAN; store.len()];
-            sad.score(&store, &mut s_sad);
-            let mut s_decode = vec![f64::NAN; store.len()];
-            weighted_l1_flat(&weights, &query, &store, &mut s_decode);
+            store.scan(&query, &weights, &mut s_sad);
             let mut s_exact = vec![f64::NAN; exact.len()];
-            weighted_l1_flat(&weights, &query, &exact, &mut s_exact);
+            exact.scan(&query, &weights, &mut s_exact);
             let query_bound = sad.score_error_bound() * (1.0 + 1e-9) + 1e-9;
             let store_bound: f64 = weights
                 .iter()
@@ -865,11 +452,11 @@ mod tests {
                 .sum();
             let two_sided = query_bound + store_bound * (1.0 + 1e-9);
             for i in 0..store.len() {
+                let s_decode = decoded(&weights, &query, &store, i);
                 assert!(
-                    (s_sad[i] - s_decode[i]).abs() <= query_bound,
-                    "dim {dim}, row {i}: |{} - {}| > {query_bound}",
+                    (s_sad[i] - s_decode).abs() <= query_bound,
+                    "dim {dim}, row {i}: |{} - {s_decode}| > {query_bound}",
                     s_sad[i],
-                    s_decode[i]
                 );
                 assert!(
                     (s_sad[i] - s_exact[i]).abs() <= two_sided,
@@ -896,133 +483,62 @@ mod tests {
         // and 25.0 is representable on the extended grid walk so there is
         // no in-grid rounding either.
         let query = [7.5, 25.0];
-        let sad = SadQuery::new(&weights, &query, store.params());
         let mut out = vec![f64::NAN; store.len()];
-        sad.score(&store, &mut out);
+        store.scan(&query, &weights, &mut out);
         for (i, got) in out.iter().enumerate() {
-            let want = weighted_l1_row(&weights, &query, &store.decode_row(i));
+            let want = decoded(&weights, &query, &store, i);
             assert!((got - want).abs() < 1e-9, "row {i}: {got} vs exact {want}");
         }
     }
 
-    /// The batched/tiled SAD kernels must equal the single-query kernel
-    /// bit for bit (integer sums are associative, so this is exact).
+    /// The `u8` tile must equal per-query [`SadQuery`] scores bit for bit
+    /// (integer sums are associative, so this is exact) for every batch
+    /// shape around the pipelines' tile width, under shared and per-query
+    /// weights, across the single-chunk and chunked (dim > SAD_CHUNK)
+    /// row paths and stores spanning several SAD blocks.
     #[test]
-    fn sad_batch_kernels_match_single_query_bitwise() {
-        for dim in [1, 4, 7, 32] {
-            for qcount in [1, 2, QUERY_TILE, QUERY_TILE + 5, 3 * QUERY_TILE + 1] {
-                let store = FlatStore::<u8>::from_rows_with_dim(dim, synthetic_rows(dim, 37, 3.0));
+    fn sad_tile_matches_per_query_sad_scores_bitwise() {
+        for (dim, rows) in [(1, 37), (4, 37), (7, 37), (32, 1100), (SAD_CHUNK + 9, 300)] {
+            for qcount in [1, 2, QUERY_TILE, QUERY_TILE + 1, 3 * QUERY_TILE + 1] {
+                let store =
+                    FlatStore::<u8>::from_rows_with_dim(dim, synthetic_rows(dim, rows, 3.0));
                 let queries =
                     FlatVectors::from_rows_with_dim(dim, synthetic_rows(dim, qcount, 0.5));
                 let shared: Vec<f64> = (0..dim).map(|i| 0.1 + (i % 7) as f64 * 0.43).collect();
-                let wrows = FlatVectors::from_rows_with_dim(
+                let per_query = FlatVectors::from_rows_with_dim(
                     dim,
                     (0..qcount)
                         .map(|q| (0..dim).map(|i| ((q + i) % 5) as f64 * 0.77).collect())
                         .collect(),
                 );
-                let mut batch = vec![f64::NAN; qcount * store.len()];
-                weighted_sad_flat_batch(&shared, &queries, &store, &mut batch);
-                let mut batch_pq = vec![f64::NAN; qcount * store.len()];
-                weighted_sad_flat_batch_per_query(&wrows, &queries, &store, &mut batch_pq);
-                let mut single = vec![f64::NAN; store.len()];
+                let n = store.len();
+                let mut tile = vec![f64::NAN; qcount * n];
+                store.scan(queries.as_slice(), &shared, &mut tile);
+                let mut tile_pq = vec![f64::NAN; qcount * n];
+                store.scan(queries.as_slice(), per_query.as_slice(), &mut tile_pq);
                 for q in 0..qcount {
-                    weighted_sad_flat(&shared, queries.row(q), &store, &mut single);
-                    for i in 0..store.len() {
+                    let sad = SadQuery::new(&shared, queries.row(q), store.params());
+                    let sad_pq = SadQuery::new(per_query.row(q), queries.row(q), store.params());
+                    for i in 0..n {
                         assert_eq!(
-                            batch[q * store.len() + i].to_bits(),
-                            single[i].to_bits(),
+                            tile[q * n + i].to_bits(),
+                            per_row(&sad, &store, i).to_bits(),
                             "shared: dim {dim}, batch {qcount}, query {q}, row {i}"
                         );
-                    }
-                    weighted_sad_flat(wrows.row(q), queries.row(q), &store, &mut single);
-                    for i in 0..store.len() {
                         assert_eq!(
-                            batch_pq[q * store.len() + i].to_bits(),
-                            single[i].to_bits(),
+                            tile_pq[q * n + i].to_bits(),
+                            per_row(&sad_pq, &store, i).to_bits(),
                             "per-query: dim {dim}, batch {qcount}, query {q}, row {i}"
                         );
                     }
                 }
-                // The sequential range kernels reproduce their batch rows.
-                let (start, end) = (qcount / 3, qcount);
-                let mut tile = vec![f64::NAN; (end - start) * store.len()];
-                weighted_sad_flat_batch_range(&shared, &queries, start, end, &store, &mut tile);
-                assert_eq!(
-                    tile.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-                    batch[start * store.len()..end * store.len()]
-                        .iter()
-                        .map(|s| s.to_bits())
-                        .collect::<Vec<_>>(),
-                    "range shared: dim {dim}, {start}..{end}"
-                );
-                let mut tile = vec![f64::NAN; (end - start) * store.len()];
-                weighted_sad_flat_batch_per_query_range(
-                    &wrows, &queries, start, end, &store, &mut tile,
-                );
-                assert_eq!(
-                    tile.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-                    batch_pq[start * store.len()..end * store.len()]
-                        .iter()
-                        .map(|s| s.to_bits())
-                        .collect::<Vec<_>>(),
-                    "range per-query: dim {dim}, {start}..{end}"
-                );
             }
         }
     }
 
-    /// The pair walk ([`weighted_sad_row_pair`] and the two-at-a-time row
-    /// loop it feeds) must equal the single-row kernel bit for bit — on
-    /// even and odd row counts, across the chunked (dim > SAD_CHUNK) and
-    /// single-chunk paths.
-    #[test]
-    fn sad_row_pair_is_bit_identical_to_single_rows() {
-        for dim in [
-            1,
-            2,
-            7,
-            8,
-            16,
-            33,
-            SAD_CHUNK,
-            SAD_CHUNK + 9,
-            3 * SAD_CHUNK + 1,
-        ] {
-            for rows in [1usize, 2, 3, 8, 17] {
-                let store =
-                    FlatStore::<u8>::from_rows_with_dim(dim, synthetic_rows(dim, rows, 1.3));
-                let weights: Vec<f64> = (0..dim).map(|i| 0.15 + (i % 6) as f64 * 0.4).collect();
-                let query: Vec<f64> = (0..dim).map(|i| (i as f64 * 0.9).sin() * 9.0).collect();
-                let sad = SadQuery::new(&weights, &query, store.params());
-                // The raw pair kernel against explicit single-row calls.
-                for pair in (0..rows).collect::<Vec<_>>().chunks_exact(2) {
-                    let (a, b) = (store.row(pair[0]), store.row(pair[1]));
-                    let (sum_a, sum_b) = weighted_sad_row_pair(sad.iweights(), sad.codes(), a, b);
-                    assert_eq!(sum_a, weighted_sad_row(sad.iweights(), sad.codes(), a));
-                    assert_eq!(sum_b, weighted_sad_row(sad.iweights(), sad.codes(), b));
-                }
-                // The full scan against per-row scoring.
-                let mut scan = vec![f64::NAN; rows];
-                sad.score(&store, &mut scan);
-                for (i, got) in scan.iter().enumerate() {
-                    let single = sad.offset()
-                        + sad.rescale()
-                            * weighted_sad_row(sad.iweights(), sad.codes(), store.row(i)) as f64;
-                    assert_eq!(
-                        got.to_bits(),
-                        single.to_bits(),
-                        "dim {dim}, rows {rows}, row {i}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// The ISA-dispatched scan ([`SadQuery::score`], which picks AVX2
-    /// when the host has it) must be bit-identical to the baseline
-    /// scalar body — ISA multiversioning may only change speed, never a
-    /// single output bit.
+    /// The ISA-dispatched row scan (which picks AVX2 when the host has it)
+    /// must be bit-identical to the baseline scalar body — ISA
+    /// multiversioning may only change speed, never a single output bit.
     #[test]
     fn sad_isa_dispatch_is_bit_identical_to_scalar() {
         for dim in [1, 3, 8, 32, SAD_CHUNK + 9] {
@@ -1032,7 +548,7 @@ mod tests {
             let query: Vec<f64> = (0..dim).map(|i| (i as f64 * 1.7).cos() * 11.0).collect();
             let sad = SadQuery::new(&weights, &query, store.params());
             let mut dispatched = vec![f64::NAN; rows];
-            sad.score(&store, &mut dispatched);
+            sad.score_rows_into(store.as_slice(), dim, &mut dispatched);
             let mut scalar = vec![f64::NAN; rows];
             sad_rows_scalar(
                 sad.iweights(),
@@ -1049,32 +565,34 @@ mod tests {
         }
     }
 
-    /// The `u8` filter dispatch hooks route to the SAD kernels, and the
-    /// exact backends' hooks stay bit-identical to the decode kernels.
+    /// The scan hook dispatches per backend: `u8` stores run the SAD
+    /// tile, the exact backends stay the decode path bit for bit.
     #[test]
-    fn scan_filter_hooks_dispatch_per_backend() {
+    fn scan_hook_dispatches_per_backend() {
         let dim = 5;
         let rows = synthetic_rows(dim, 23, 7.0);
         let weights: Vec<f64> = (0..dim).map(|i| 0.3 + i as f64 * 0.21).collect();
         let query: Vec<f64> = (0..dim).map(|i| (i as f64).cos() * 8.0).collect();
 
         let store = FlatStore::<u8>::from_rows_with_dim(dim, rows.clone());
-        let mut via_hook = vec![f64::NAN; store.len()];
-        u8::scan_filter(&weights, &query, &store, &mut via_hook);
-        let mut via_sad = vec![f64::NAN; store.len()];
-        weighted_sad_flat(&weights, &query, &store, &mut via_sad);
-        assert_eq!(via_hook, via_sad, "u8 hook must run the SAD kernel");
+        let mut via_scan = vec![f64::NAN; store.len()];
+        store.scan(&query, &weights, &mut via_scan);
+        let sad = SadQuery::new(&weights, &query, store.params());
+        for (i, got) in via_scan.iter().enumerate() {
+            assert_eq!(
+                got.to_bits(),
+                per_row(&sad, &store, i).to_bits(),
+                "u8 row {i}"
+            );
+        }
 
         let exact = FlatVectors::from_rows_with_dim(dim, rows);
-        let mut via_hook = vec![f64::NAN; exact.len()];
-        f64::scan_filter(&weights, &query, &exact, &mut via_hook);
-        let mut via_l1 = vec![f64::NAN; exact.len()];
-        weighted_l1_flat(&weights, &query, &exact, &mut via_l1);
-        assert_eq!(
-            via_hook.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-            via_l1.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-            "f64 hook must stay the decode path bitwise"
-        );
+        let mut via_scan = vec![f64::NAN; exact.len()];
+        exact.scan(&query, &weights, &mut via_scan);
+        for (i, got) in via_scan.iter().enumerate() {
+            let want = weighted_l1_row(&weights, &query, exact.row(i));
+            assert_eq!(got.to_bits(), want.to_bits(), "f64 row {i}");
+        }
     }
 
     #[test]
@@ -1083,47 +601,31 @@ mod tests {
         let mut store = FlatStore::<u8>::with_dim(0);
         store.push(&[]);
         store.push(&[]);
-        let sad = SadQuery::new(&[], &[], store.params());
         let mut out = vec![f64::NAN; 2];
-        sad.score(&store, &mut out);
+        store.scan(&[], &[], &mut out);
         assert_eq!(out, vec![0.0, 0.0]);
         // Empty store: nothing is written.
         let empty = FlatStore::<u8>::with_dim(3);
-        let sad = SadQuery::new(&[1.0; 3], &[0.5; 3], empty.params());
         let mut out: Vec<f64> = Vec::new();
-        sad.score(&empty, &mut out);
+        empty.scan(&[0.5; 3], &[1.0; 3], &mut out);
         assert!(out.is_empty());
         // All-zero weights: the offset (zero) is the whole score.
         let store = FlatStore::<u8>::from_rows_with_dim(1, vec![vec![0.0], vec![9.0]]);
         let sad = SadQuery::new(&[0.0], &[4.0], store.params());
         assert_eq!(sad.rescale(), 0.0);
         let mut out = vec![f64::NAN; 2];
-        sad.score(&store, &mut out);
+        store.scan(&[4.0], &[0.0], &mut out);
         assert_eq!(out, vec![0.0, 0.0]);
-        // Empty batches score nothing, even through the parallel driver.
-        let batch = SadQueryBatch::new_shared(&[1.0], &FlatVectors::with_dim(1), store.params());
-        assert!(batch.is_empty());
+        // Empty query batches score nothing.
         let mut out: Vec<f64> = Vec::new();
-        batch.score(&store, &mut out);
+        store.scan(&[], &[1.0], &mut out);
         assert!(out.is_empty());
     }
 
     #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn sad_batch_rejects_out_of_bounds_ranges() {
-        let store = FlatStore::<u8>::from_rows_with_dim(1, vec![vec![1.0]]);
-        let queries = FlatVectors::from_rows(vec![vec![0.0]]);
-        let mut out = vec![0.0; 2];
-        weighted_sad_flat_batch_range(&[1.0], &queries, 0, 2, &store, &mut out);
-    }
-
-    #[test]
-    #[should_panic(expected = "one weight row per query")]
-    fn sad_per_query_batch_rejects_mismatched_weight_rows() {
-        let store = FlatStore::<u8>::from_rows_with_dim(1, vec![vec![1.0]]);
-        let queries = FlatVectors::from_rows(vec![vec![0.0], vec![1.0]]);
-        let weights = FlatVectors::from_rows(vec![vec![1.0]]);
-        let mut out = vec![0.0; 2];
-        weighted_sad_flat_batch_per_query(&weights, &queries, &store, &mut out);
+    #[should_panic(expected = "non-negative")]
+    fn sad_scan_rejects_negative_weights() {
+        let store = FlatStore::<u8>::from_rows_with_dim(1, vec![vec![0.0], vec![1.0]]);
+        store.scan(&[0.5], &[-1.0], &mut [0.0; 2]);
     }
 }

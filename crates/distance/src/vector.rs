@@ -1,7 +1,7 @@
 //! Vector-space distances: `Lp` norms, the (query-sensitive) weighted `L1`
-//! distance, the flat row-major vector store, and the blocked weighted-L1
-//! batch kernels that score one query — or a whole query batch — against
-//! every stored row.
+//! distance, the flat row-major vector store, and the filter scan
+//! [`FlatStore::scan`] that scores a batch of queries against every stored
+//! row.
 //!
 //! ## Pluggable filter-store precision
 //!
@@ -26,12 +26,7 @@
 //!   error by `Σ_j w_j · scale_j / 2` (asserted by the workspace tests).
 //!
 //! Queries and weights always stay `f64`; only the database side of the
-//! scan is compressed. The kernels decode one cache-sized block of rows at
-//! a time into a scratch buffer and then run the **same** canonical `f64`
-//! reduction over it, so the `f64` backend (whose "decode" is a zero-copy
-//! borrow of the stored block) remains bit-identical to the historical
-//! kernels, while the lossy backends amortize decoding across every query
-//! of a tile and halve (or quarter) the memory traffic the scan streams.
+//! scan is compressed.
 //!
 //! Orthogonally to the element precision, the buffer those elements live
 //! in is pluggable too ([`crate::storage::Storage`]): heap-owned, or
@@ -46,44 +41,46 @@
 //! query-sensitive weighting logic itself lives in `qse-core::model` because
 //! it needs the trained splitters.
 //!
+//! ## The filter scan
+//!
+//! [`FlatStore::scan`] is the one scan entry point. It scores `Q` query
+//! rows (flat, row-major) under either one shared weight row or one weight
+//! row per query, on the calling thread, into a row-major `Q × N` output
+//! (`out[q * N + i]` is query `q` against row `i`). It checks the shapes
+//! once, handles zero-dimensional and empty stores, and hands the rest to
+//! the backend's [`FilterElem::scan`] hook:
+//!
+//! * `f64` and `f32` run the **decode tile**. The store is walked one
+//!   [`BLOCK_VALUES`]-value block of rows at a time; each block is decoded
+//!   to `f64` once (a zero-copy borrow for `f64`) and rescanned by every
+//!   query while it is cache-hot. Within a block, pairs of queries share
+//!   each row load; a lone or odd last query runs [`weighted_l1_row`]
+//!   itself.
+//! * `u8` runs the **integer weighted-SAD tile** of [`crate::sad`]: the
+//!   query is quantized onto the store's grid, so its scores differ from
+//!   the decoded-row scores by the documented query-side bound.
+//!
+//! Callers fan out themselves: the batched retrieval pipelines cut a batch
+//! into [`QUERY_TILE`]-query tiles across the worker pool and call `scan`
+//! once per tile, each tile writing its own output rows.
+//!
 //! ## One canonical summation order
 //!
-//! Every weighted-L1 evaluation in the workspace — [`WeightedL1::eval`] on a
-//! pair of slices, [`WeightedL1::eval_flat`] over a [`FlatVectors`] store,
-//! the Q×N tiled [`WeightedL1::eval_flat_batch`] kernel, and
-//! `EmbeddedQuery::distance_to` in `qse-core` — reduces coordinates
-//! through the same blocked routine ([`weighted_l1_row`]): [`LANES`]-wide
-//! blocks feeding [`LANES`] independent accumulators, combined pairwise,
-//! then the sequential remainder. Floating-point addition is not
-//! associative, so sharing one order is what makes the batch kernels
-//! **bit-identical** to the row-by-row path (asserted by the workspace
-//! property tests), while the independent accumulators give the optimizer
-//! license to auto-vectorize the hot filter scan.
-//!
-//! ## The Q×N tile layout
-//!
-//! A batch of `Q` queries against `N` database rows is computed in
-//! two-level tiles: [`QUERY_TILE`] query rows × [`BLOCK_VALUES`]-value
-//! database blocks. The outer loop hands each query tile a pass over the
-//! database; within the tile, one L1-sized block of database rows is loaded
-//! once and scanned by every query of the tile before the next block streams
-//! in
-//! — so the block is served from L1 for all but the first query, and the
-//! database buffer as a whole streams through memory once per
-//! [`QUERY_TILE`] queries instead of once per query. The innermost loop
-//! over a `(query, block)` pair is the same contiguous
-//! `chunks_exact`/sequential-write scan as the single-query
-//! [`weighted_l1_flat`], so codegen quality is preserved. Scores land in a
-//! row-major `Q × N` output (`out[q * N + i]` is query `q` against row
-//! `i`), and query tiles write disjoint `out` ranges, which lets the
-//! kernel fan tiles out across the persistent worker pool without any
-//! thread-count-dependent reduction order — every score is produced by one
-//! [`weighted_l1_row`] call regardless of tiling or threading.
+//! Every floating-point weighted-L1 evaluation in the workspace —
+//! [`WeightedL1::eval`] on a pair of slices, the decode tile of
+//! [`FlatStore::scan`] (single queries and query pairs alike), and
+//! `EmbeddedQuery::distance_to` in `qse-core` — reduces coordinates in the
+//! order of [`weighted_l1_row`]: [`LANES`]-wide blocks feeding [`LANES`]
+//! independent accumulators, combined pairwise, then the sequential
+//! remainder. Floating-point addition is not associative, so sharing one
+//! order is what makes every decode-tile score **bit-identical** to one
+//! `weighted_l1_row` call over the decoded row, whatever the batch shape or
+//! thread count (asserted by the workspace property tests), while the
+//! independent accumulators let the optimizer auto-vectorize the scan.
 
 use crate::mmap::MapRegion;
 use crate::storage::{MappedSlice, Storage};
 use crate::traits::{DistanceMeasure, MetricProperties};
-use rayon::prelude::*;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -128,8 +125,8 @@ pub const LANES: usize = 4;
 /// (pairwise-combined at the end), the tail is added sequentially.
 ///
 /// This is the single scalar routine behind [`WeightedL1::eval`], the
-/// [`WeightedL1::eval_flat`] batch kernel and `EmbeddedQuery::distance_to`,
-/// so all of them agree bitwise.
+/// decode tile of [`FlatStore::scan`] and `EmbeddedQuery::distance_to`, so
+/// all of them agree bitwise.
 ///
 /// The slices must share one length; full-length checking is left to the
 /// callers (debug builds assert).
@@ -165,10 +162,11 @@ pub fn weighted_l1_row(weights: &[f64], a: &[f64], b: &[f64]) -> f64 {
 /// `f32` (rounded to single precision) and `u8` (scalar-quantized on a
 /// per-coordinate affine grid, see [`QuantParams`] and the module docs).
 /// Implementations come in encode/decode pairs around per-store
-/// [`FilterElem::Params`] fitted at construction; the kernels decode one
-/// cache-sized block at a time into `f64` scratch and reduce it with the
-/// canonical [`weighted_l1_row`] order, so a backend only controls *what is
-/// stored*, never *how scores are summed*.
+/// [`FilterElem::Params`] fitted at construction; the default
+/// [`FilterElem::scan`] decodes one cache-sized block at a time into `f64`
+/// scratch and reduces it with the canonical [`weighted_l1_row`] order, so
+/// such a backend controls *what is stored*, never *how scores are summed*.
+/// Only `u8` overrides the scan, with its integer weighted-SAD tile.
 pub trait FilterElem: Copy + Send + Sync + PartialEq + std::fmt::Debug + 'static {
     /// Per-store decode parameters: the quantization grid for `u8`,
     /// zero-sized for the exact backends.
@@ -192,38 +190,22 @@ pub trait FilterElem: Copy + Send + Sync + PartialEq + std::fmt::Debug + 'static
     /// candidates preserves the filter's effective selectivity.
     const DEFAULT_P_SCALE: f64 = 1.0;
 
-    /// Score `query` under `weights` against every row of `vectors`
-    /// through the backend's preferred **filter path**. Unlike
-    /// [`weighted_l1_flat`] — which pins "score the decoded rows" exactly
-    /// — this entry point may score *in the storage domain*: the default
-    /// is the decode-path kernel (bit-identical to [`weighted_l1_flat`]),
-    /// and `u8` overrides it with the integer weighted-SAD kernel of
-    /// [`crate::sad`], whose scores differ from the decode path by the
-    /// documented query-side quantization bound. The filter-and-refine
-    /// retrieval pipelines call this; refine's exact distances absorb the
-    /// difference.
+    /// The backend's filter tile: score every query row of `coords`
+    /// against every row of `store` into the row-major `out`, on the
+    /// calling thread. [`FlatStore::scan`] checks the shapes first (whole
+    /// query rows, `weights` one shared row or one row per query, one
+    /// output slot per pair) and calls this only with `dim > 0` and a
+    /// non-empty `out`; call that, not the hook.
     ///
-    /// # Panics
-    /// As [`weighted_l1_flat`] (dimensionality / output-length mismatch).
-    fn scan_filter(weights: &[f64], query: &[f64], vectors: &FlatStore<Self>, out: &mut [f64]) {
-        weighted_l1_flat(weights, query, vectors, out);
-    }
-
-    /// One *sequential* tile of the backend's filter path: score queries
-    /// `start..end` (`w_stride == 0` shares one weight row, `w_stride ==
-    /// dim` selects per-query rows) into a row-major `(end − start) × n`
-    /// tile — the hook the batched retrieval pipelines hand each worker.
-    /// Default: the decode-path range kernel; `u8`: the integer SAD tile.
-    fn scan_filter_range(
-        weights: &[f64],
-        w_stride: usize,
-        queries: &FlatVectors,
-        start: usize,
-        end: usize,
-        vectors: &FlatStore<Self>,
-        out: &mut [f64],
-    ) {
-        weighted_l1_score_query_range(weights, w_stride, queries, start, end, vectors, out);
+    /// The default is the decode tile: each block of rows is decoded to
+    /// `f64` once and reduced by [`weighted_l1_row`], so every score equals
+    /// the weighted L1 against the decoded row bit for bit. `u8` overrides
+    /// it with the integer weighted-SAD tile of [`crate::sad`], whose scores
+    /// differ from the decoded-row scores by the documented query-side
+    /// quantization bound; the refine step's exact distances absorb the
+    /// difference.
+    fn scan(store: &FlatStore<Self>, coords: &[f64], weights: &[f64], out: &mut [f64]) {
+        weighted_l1_score_tile(store, coords, weights, out);
     }
 
     /// Stable one-byte identifier of this backend in the snapshot format
@@ -424,20 +406,8 @@ impl FilterElem for u8 {
     /// default to keeping twice the filter candidates.
     const DEFAULT_P_SCALE: f64 = 2.0;
 
-    fn scan_filter(weights: &[f64], query: &[f64], vectors: &FlatStore<Self>, out: &mut [f64]) {
-        crate::sad::weighted_sad_flat(weights, query, vectors, out);
-    }
-
-    fn scan_filter_range(
-        weights: &[f64],
-        w_stride: usize,
-        queries: &FlatVectors,
-        start: usize,
-        end: usize,
-        vectors: &FlatStore<Self>,
-        out: &mut [f64],
-    ) {
-        crate::sad::sad_scan_range(weights, w_stride, queries, start, end, vectors, out);
+    fn scan(store: &FlatStore<Self>, coords: &[f64], weights: &[f64], out: &mut [f64]) {
+        crate::sad::sad_scan(store, coords, weights, out);
     }
 
     fn elems_to_bytes(elems: &[Self], out: &mut Vec<u8>) {
@@ -543,8 +513,8 @@ impl FilterElem for u8 {
 /// Embedded database vectors in flat row-major storage: row `i` occupies
 /// elements `i * dim .. (i + 1) * dim` of one contiguous buffer. Keeping
 /// all rows in a single run makes the filter scan cache-friendly and
-/// prefetchable, and lets the [`WeightedL1::eval_flat`] kernel walk the
-/// buffer without touching one heap allocation per row.
+/// prefetchable, and lets [`FlatStore::scan`] walk the buffer without
+/// touching one heap allocation per row.
 ///
 /// The storage element `E` selects the filter-store precision (see
 /// [`FilterElem`] and the module docs); [`FlatVectors`] — `FlatStore<f64>`
@@ -699,7 +669,7 @@ impl<E: FilterElem> FlatStore<E> {
     /// identical decoded values.
     ///
     /// Scores over a mapped store are **bit-identical** to the owned
-    /// store holding the same elements: the kernels read both through
+    /// store holding the same elements: the scan reads both through
     /// [`Self::as_slice`]. Mutation ([`Self::push`] /
     /// [`Self::swap_remove`]) copies the elements onto the heap first —
     /// the mapping is never written through.
@@ -773,11 +743,72 @@ impl<E: FilterElem> FlatStore<E> {
     }
 
     /// Row `i` decoded back to full precision — exactly the values the
-    /// filter kernels score against (lossy for the compressed backends, the
+    /// decode tile scores against (lossy for the compressed backends, the
     /// stored row itself for `f64`).
     pub fn decode_row(&self, i: usize) -> Vec<f64> {
         let mut scratch = Vec::new();
         E::decode_block(self.row(i), self.dim.max(1), &self.params, &mut scratch).to_vec()
+    }
+
+    /// The filter scan: score the `coords.len() / dim()` query rows of
+    /// `coords` (flat, row-major) against every stored row, writing the
+    /// row-major `Q × len()` result into `out` — `out[q * len() + i]` is
+    /// query `q` against row `i` — on the calling thread.
+    ///
+    /// `weights` is either one row shared by every query or one row per
+    /// query (the query-sensitive `D_out`, whose weights `A_i(q)` depend on
+    /// the query). The two are told apart by length; for a single query
+    /// they are the same thing. Scores come from the backend's
+    /// [`FilterElem::scan`] hook: the weighted L1 against the decoded rows
+    /// on `f64` and `f32` (bit-identical to [`weighted_l1_row`] per row),
+    /// the integer weighted SAD on `u8` (see [`crate::sad`]).
+    /// Zero-dimensional rows score the empty sum, `0.0`; there the query
+    /// count is `out.len() / len()`.
+    ///
+    /// Callers that want parallelism cut the batch into [`QUERY_TILE`]-row
+    /// tiles and call this once per tile.
+    ///
+    /// # Panics
+    /// Panics if `coords` is not a whole number of rows, if `weights` is
+    /// neither one row nor one row per query, or if `out` does not hold
+    /// exactly one slot per (query, row) pair. A zero-dimensional store
+    /// takes empty `coords` and `weights`.
+    pub fn scan(&self, coords: &[f64], weights: &[f64], out: &mut [f64]) {
+        let (n, dim) = (self.rows, self.dim);
+        if dim == 0 {
+            assert!(
+                coords.is_empty() && weights.is_empty(),
+                "a zero-dimensional store takes empty query and weight rows"
+            );
+            assert!(
+                if n == 0 {
+                    out.is_empty()
+                } else {
+                    out.len().is_multiple_of(n)
+                },
+                "one output slot per (query, row) pair required"
+            );
+            out.fill(0.0);
+            return;
+        }
+        assert!(
+            coords.len().is_multiple_of(dim),
+            "query coordinates must be whole rows of the store's dimensionality {dim}"
+        );
+        assert!(
+            weights.len() == dim || weights.len() == coords.len(),
+            "weights must be one shared row or one row per query (dim {dim}, {} query values, {} weights)",
+            coords.len(),
+            weights.len()
+        );
+        assert_eq!(
+            out.len(),
+            coords.len() / dim * n,
+            "one output slot per (query, row) pair required"
+        );
+        if !out.is_empty() {
+            E::scan(self, coords, weights, out);
+        }
     }
 
     /// Iterator over all rows in index order (always exactly [`Self::len`]
@@ -826,118 +857,9 @@ impl<E: FilterElem> FlatStore<E> {
         debug_assert_eq!(data.len(), self.rows * dim);
     }
 }
-
-/// The weighted-L1 batch kernel: score `query` against every row of
-/// `vectors`, writing `out[i] = Σ_j weights[j] · |query[j] − row_i[j]|`.
-///
-/// This is the raw entry point used by `EmbeddedQuery` (whose per-query
-/// weights live outside a [`WeightedL1`] value); prefer
-/// [`WeightedL1::eval_flat`] when you have a distance object. The store is
-/// walked one [`BLOCK_VALUES`]-value block of rows at a time, decoded to
-/// `f64` per the store's [`FilterElem`] backend (a zero-copy borrow for
-/// `f64`), and each row reduced by [`weighted_l1_row`] — so for the exact
-/// backend every output is **bit-identical** to evaluating that row on its
-/// own, and for the lossy backends it equals scoring the decoded row.
-///
-/// # Panics
-/// Panics if `weights`/`query` do not match the store's dimensionality or
-/// `out` does not have exactly one slot per row.
-pub fn weighted_l1_flat<E: FilterElem>(
-    weights: &[f64],
-    query: &[f64],
-    vectors: &FlatStore<E>,
-    out: &mut [f64],
-) {
-    let dim = vectors.dim();
-    assert_eq!(weights.len(), dim, "weight/store dimensionality mismatch");
-    assert_eq!(query.len(), dim, "query/store dimensionality mismatch");
-    assert_eq!(out.len(), vectors.len(), "one output slot per row required");
-    if dim == 0 {
-        // Zero-dimensional rows: every distance is the empty sum.
-        out.fill(0.0);
-        return;
-    }
-    l1_flat_dispatch(weights, query, vectors, out);
-}
-
-/// The single-query block-decode scan body behind [`weighted_l1_flat`]:
-/// decode one cache-sized block, reduce every row with the canonical
-/// [`weighted_l1_row`] order.
-///
-/// `#[inline(always)]` is load-bearing, not a hint (same mechanism as
-/// the SAD scan in [`crate::sad`]): the `target_feature` wrapper below
-/// inlines this body and recompiles it — decode loop and
-/// [`weighted_l1_row`] reduction together — under the wider ISA. The
-/// lane structure ([`LANES`] explicit independent accumulators combined
-/// pairwise) fixes the summation order in the source, so ISA choice can
-/// change speed only, never a single output bit (no FMA contraction:
-/// `avx2` does not enable `fma`, and Rust never contracts float
-/// expressions on its own) — pinned by the workspace dispatch tests.
-#[inline(always)]
-fn l1_flat_body<E: FilterElem>(
-    weights: &[f64],
-    query: &[f64],
-    vectors: &FlatStore<E>,
-    out: &mut [f64],
-) {
-    let dim = vectors.dim();
-    let rows_per_block = (BLOCK_VALUES / dim).max(1);
-    let mut scratch = Vec::new();
-    for (raw, out_block) in vectors
-        .as_slice()
-        .chunks(rows_per_block * dim)
-        .zip(out.chunks_mut(rows_per_block))
-    {
-        let block = E::decode_block(raw, dim, vectors.params(), &mut scratch);
-        for (row, slot) in block.chunks_exact(dim).zip(out_block.iter_mut()) {
-            debug_assert_eq!(row.len(), dim);
-            *slot = weighted_l1_row(weights, query, row);
-        }
-    }
-}
-
-/// [`l1_flat_body`] recompiled under AVX2 codegen (4-wide `f64` lanes
-/// instead of the SSE2 baseline's 2-wide).
-///
-/// # Safety
-/// The host CPU must support AVX2 (callers guard with
-/// `is_x86_feature_detected!`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn l1_flat_avx2<E: FilterElem>(
-    weights: &[f64],
-    query: &[f64],
-    vectors: &FlatStore<E>,
-    out: &mut [f64],
-) {
-    l1_flat_body(weights, query, vectors, out);
-}
-
-/// Run [`l1_flat_body`] under the widest ISA the host supports, mirroring
-/// the SAD scan's multiversioning (`sad_rows_dispatch` in
-/// [`crate::sad`]): one cached runtime AVX2 check
-/// (`is_x86_feature_detected!` memoizes), then the recompiled body or
-/// the baseline. Bit-identical across variants by the explicit lane
-/// structure — pinned by the workspace dispatch tests.
-#[inline]
-fn l1_flat_dispatch<E: FilterElem>(
-    weights: &[f64],
-    query: &[f64],
-    vectors: &FlatStore<E>,
-    out: &mut [f64],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the AVX2 requirement is established by the runtime
-        // detection on the line above.
-        unsafe { l1_flat_avx2(weights, query, vectors, out) };
-        return;
-    }
-    l1_flat_body(weights, query, vectors, out);
-}
-
-/// Number of query rows per tile of the Q×N batch kernels
-/// ([`weighted_l1_flat_batch`] and friends).
+/// Number of query rows per tile of the batched retrieval pipelines, which
+/// cut a query batch into tiles of this size, fan the tiles out across the
+/// worker pool and score each with one [`FlatStore::scan`] call.
 ///
 /// One tile holds `QUERY_TILE · dim` query coordinates plus (on the
 /// query-sensitive path) as many weight values — a few kilobytes at the
@@ -946,18 +868,18 @@ fn l1_flat_dispatch<E: FilterElem>(
 /// amortizing every database row load across [`QUERY_TILE`] queries.
 pub const QUERY_TILE: usize = 16;
 
-/// Number of `f64` values per database block inside one query tile of the
-/// batch kernels (32 KiB — sized to the L1 data cache). A block of
-/// `BLOCK_VALUES / dim` rows is loaded once and rescanned by every query of
-/// the tile from L1 before the next block streams in, while keeping the
-/// innermost loop long enough that its setup cost (re-slicing the query and
-/// weight rows) stays amortized.
+/// Number of `f64` values per database block of the decode tile (32 KiB —
+/// sized to the L1 data cache). A block of `BLOCK_VALUES / dim` rows is
+/// loaded once and rescanned by every query of the scan from L1 before the
+/// next block streams in, while keeping the innermost loop long enough
+/// that its setup cost (re-slicing the query and weight rows) stays
+/// amortized.
 pub const BLOCK_VALUES: usize = 4096;
 
 /// `Σ_i w1_i |a1_i − b_i|` and `Σ_i w2_i |a2_i − b_i|` in one pass over `b`.
 ///
-/// The row-pair workhorse of the tiled batch kernel: two queries share every
-/// load of the database row `b` (halving the dominant memory traffic and
+/// The row-pair workhorse of the decode tile: two queries share every load
+/// of the database row `b` (halving the dominant memory traffic and
 /// doubling the independent work per iteration), while each sum keeps its
 /// **own** [`LANES`] accumulators combined exactly as in
 /// [`weighted_l1_row`] — so both results are bit-identical to two separate
@@ -1001,38 +923,25 @@ fn weighted_l1_row_pair(w1: &[f64], a1: &[f64], w2: &[f64], a2: &[f64], b: &[f64
     )
 }
 
-/// Score one tile of `qcount` query rows against every row of `vectors`.
-///
-/// `weights` holds either one shared weight row (`w_stride == 0`) or one row
-/// per query (`w_stride == dim`); `queries` holds `qcount` rows of `dim`
-/// coordinates; `out[q * n + i]` receives query `q` of the tile against row
-/// `i`. Two levels of reuse: each [`BLOCK_VALUES`]-value database block is
-/// rescanned by the whole tile while it is cache-hot, and within a block,
-/// *pairs* of queries walk it together through [`weighted_l1_row_pair`] so
-/// every row load is shared at the register level. Each block is decoded to
-/// `f64` **once per tile** (a zero-copy borrow for the exact backend), so
-/// lossy backends amortize decoding across every query of the tile; each
-/// score still reduces in the canonical [`weighted_l1_row`] order, so
-/// outputs are bit-identical to the per-query path over the same store.
+/// The decode tile behind the default [`FilterElem::scan`], run under the
+/// widest ISA the host supports: one cached runtime AVX2 check
+/// (`is_x86_feature_detected!` memoizes), then the recompiled body or the
+/// baseline. Bit-identical across variants by the explicit lane structure
+/// — pinned by the dispatch test below.
 fn weighted_l1_score_tile<E: FilterElem>(
+    store: &FlatStore<E>,
+    coords: &[f64],
     weights: &[f64],
-    w_stride: usize,
-    queries: &[f64],
-    qcount: usize,
-    dim: usize,
-    vectors: &FlatStore<E>,
     out: &mut [f64],
 ) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: the AVX2 requirement is established by the runtime
         // detection on the line above (the check is cached by std).
-        unsafe {
-            weighted_l1_score_tile_avx2(weights, w_stride, queries, qcount, dim, vectors, out)
-        };
+        unsafe { weighted_l1_score_tile_avx2(store, coords, weights, out) };
         return;
     }
-    weighted_l1_score_tile_body(weights, w_stride, queries, qcount, dim, vectors, out);
+    weighted_l1_score_tile_body(store, coords, weights, out);
 }
 
 /// [`weighted_l1_score_tile_body`] recompiled under AVX2 codegen — the
@@ -1040,8 +949,7 @@ fn weighted_l1_score_tile<E: FilterElem>(
 /// [`weighted_l1_row`] all inline here and get 4-wide `f64` lanes. The
 /// explicit [`LANES`]-accumulator structure fixes the summation order in
 /// the source (and `avx2` does not enable `fma`, so no contraction), so
-/// outputs stay bit-identical to the baseline — pinned by the workspace
-/// dispatch tests.
+/// outputs stay bit-identical to the baseline.
 ///
 /// # Safety
 /// The host CPU must support AVX2 (callers guard with
@@ -1049,48 +957,52 @@ fn weighted_l1_score_tile<E: FilterElem>(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn weighted_l1_score_tile_avx2<E: FilterElem>(
+    store: &FlatStore<E>,
+    coords: &[f64],
     weights: &[f64],
-    w_stride: usize,
-    queries: &[f64],
-    qcount: usize,
-    dim: usize,
-    vectors: &FlatStore<E>,
     out: &mut [f64],
 ) {
-    weighted_l1_score_tile_body(weights, w_stride, queries, qcount, dim, vectors, out);
+    weighted_l1_score_tile_body(store, coords, weights, out);
 }
 
-/// The actual tile scan behind [`weighted_l1_score_tile`].
-/// `#[inline(always)]` is load-bearing (same mechanism as the SAD scan in
-/// [`crate::sad`]): the `target_feature` wrapper above must inline this
-/// body to recompile it under the wider ISA.
+/// The actual tile scan behind [`weighted_l1_score_tile`]: each
+/// [`BLOCK_VALUES`]-value block of rows is decoded once and rescanned by
+/// every query while cache-hot; within a block, *pairs* of queries walk it
+/// together through [`weighted_l1_row_pair`] so every row load is shared
+/// at the register level, and a lone or odd last query runs
+/// [`weighted_l1_row`]. Every score reduces in the canonical order, so it
+/// is bit-identical to one [`weighted_l1_row`] call over the decoded row.
+///
+/// `#[inline(always)]` is load-bearing, not a hint (same mechanism as the
+/// SAD scan in [`crate::sad`]): the `target_feature` wrapper above must
+/// inline this body to recompile it under the wider ISA.
 #[inline(always)]
 fn weighted_l1_score_tile_body<E: FilterElem>(
+    store: &FlatStore<E>,
+    coords: &[f64],
     weights: &[f64],
-    w_stride: usize,
-    queries: &[f64],
-    qcount: usize,
-    dim: usize,
-    vectors: &FlatStore<E>,
     out: &mut [f64],
 ) {
-    let n = vectors.len();
-    debug_assert!(dim > 0, "dim-0 stores are handled by the caller");
-    debug_assert_eq!(queries.len(), qcount * dim);
+    let (n, dim) = (store.len(), store.dim());
+    debug_assert!(dim > 0, "dim-0 stores are handled by FlatStore::scan");
+    let qcount = coords.len() / dim;
     debug_assert_eq!(out.len(), qcount * n);
+    // One shared weight row or one row per query, told apart by length (a
+    // lone query reads the same either way).
+    let w_stride = if weights.len() == dim { 0 } else { dim };
     let rows_per_block = (BLOCK_VALUES / dim).max(1);
     let mut block_start = 0usize;
     let mut scratch = Vec::new();
-    for raw in vectors.as_slice().chunks(rows_per_block * dim) {
-        let block = E::decode_block(raw, dim, vectors.params(), &mut scratch);
+    for raw in store.as_slice().chunks(rows_per_block * dim) {
+        let block = E::decode_block(raw, dim, store.params(), &mut scratch);
         let block_rows = block.len() / dim;
         let mut q = 0;
         // Query pairs share each row load (register-level reuse).
         while q + 1 < qcount {
             let w1 = &weights[q * w_stride..q * w_stride + dim];
-            let q1 = &queries[q * dim..(q + 1) * dim];
+            let q1 = &coords[q * dim..(q + 1) * dim];
             let w2 = &weights[(q + 1) * w_stride..(q + 1) * w_stride + dim];
-            let q2 = &queries[(q + 1) * dim..(q + 2) * dim];
+            let q2 = &coords[(q + 1) * dim..(q + 2) * dim];
             let (out_head, out_tail) = out.split_at_mut((q + 1) * n);
             let out1 = &mut out_head[q * n + block_start..q * n + block_start + block_rows];
             let out2 = &mut out_tail[block_start..block_start + block_rows];
@@ -1105,10 +1017,10 @@ fn weighted_l1_score_tile_body<E: FilterElem>(
             }
             q += 2;
         }
-        // Odd tail query: the plain single-query scan.
+        // A lone or odd last query: the plain single-query scan.
         if q < qcount {
             let w = &weights[q * w_stride..q * w_stride + dim];
-            let query = &queries[q * dim..(q + 1) * dim];
+            let query = &coords[q * dim..(q + 1) * dim];
             let out_start = q * n + block_start;
             let out_block = &mut out[out_start..out_start + block_rows];
             for (row, slot) in block.chunks_exact(dim).zip(out_block.iter_mut()) {
@@ -1118,396 +1030,6 @@ fn weighted_l1_score_tile_body<E: FilterElem>(
         block_start += block_rows;
     }
 }
-
-/// Score queries `start..end` sequentially against every row of `vectors`
-/// (degenerate shapes — empty range, empty store, dim 0 — included),
-/// writing a row-major `(end − start) × n` tile into `out`. The common
-/// slicing/edge-case routine behind both the parallel full-batch driver and
-/// the public `*_range` single-tile entry points.
-fn weighted_l1_score_query_range<E: FilterElem>(
-    weights: &[f64],
-    w_stride: usize,
-    queries: &FlatVectors,
-    start: usize,
-    end: usize,
-    vectors: &FlatStore<E>,
-    out: &mut [f64],
-) {
-    let n = vectors.len();
-    let dim = vectors.dim();
-    let qcount = end - start;
-    debug_assert_eq!(out.len(), qcount * n);
-    if qcount == 0 || n == 0 {
-        // Nothing to score: `out` is empty by the length contract.
-        return;
-    }
-    if dim == 0 {
-        // Zero-dimensional rows: every distance is the empty sum.
-        out.fill(0.0);
-        return;
-    }
-    let q_rows = &queries.as_slice()[start * dim..end * dim];
-    let w_rows = if w_stride == 0 {
-        weights
-    } else {
-        &weights[start * w_stride..end * w_stride]
-    };
-    weighted_l1_score_tile(w_rows, w_stride, q_rows, qcount, dim, vectors, out);
-}
-
-/// Shared driver of the Q×N batch kernels: partition the queries into
-/// [`QUERY_TILE`]-row tiles and score each tile with
-/// [`weighted_l1_score_tile`], fanning tiles out across the persistent
-/// worker pool (each tile writes a disjoint contiguous range of `out`, so
-/// the result is independent of the thread count).
-fn weighted_l1_batch_tiled<E: FilterElem>(
-    weights: &[f64],
-    w_stride: usize,
-    queries: &FlatVectors,
-    vectors: &FlatStore<E>,
-    out: &mut [f64],
-) {
-    let n = vectors.len();
-    debug_assert_eq!(out.len(), queries.len() * n);
-    if queries.is_empty() || n == 0 || vectors.dim() == 0 {
-        return weighted_l1_score_query_range(
-            weights,
-            w_stride,
-            queries,
-            0,
-            queries.len(),
-            vectors,
-            out,
-        );
-    }
-    out.par_chunks_mut(QUERY_TILE * n)
-        .enumerate()
-        .for_each(|(tile, tile_out)| {
-            let q0 = tile * QUERY_TILE;
-            let qcount = tile_out.len() / n;
-            weighted_l1_score_query_range(
-                weights,
-                w_stride,
-                queries,
-                q0,
-                q0 + qcount,
-                vectors,
-                tile_out,
-            );
-        });
-}
-
-/// The Q×N batch kernel with one *shared* weight vector: score every row of
-/// `queries` against every row of `vectors`, writing the row-major tile
-/// `out[q * vectors.len() + i] = Σ_j weights[j] · |queries_q[j] − row_i[j]|`.
-///
-/// Queries are processed in [`QUERY_TILE`]-row tiles (see the module docs
-/// for the layout) that run in parallel on the persistent worker pool; each
-/// score is produced by the canonical [`weighted_l1_row`] reduction, so
-/// every output is **bit-identical** to the per-query
-/// [`weighted_l1_flat`] scan — and therefore to the scalar path — at any
-/// thread count.
-///
-/// # Panics
-/// Panics if `weights` or `queries` do not match the store's
-/// dimensionality, or `out.len() != queries.len() * vectors.len()`.
-pub fn weighted_l1_flat_batch<E: FilterElem>(
-    weights: &[f64],
-    queries: &FlatVectors,
-    vectors: &FlatStore<E>,
-    out: &mut [f64],
-) {
-    let dim = vectors.dim();
-    assert_eq!(weights.len(), dim, "weight/store dimensionality mismatch");
-    assert_eq!(queries.dim(), dim, "query/store dimensionality mismatch");
-    assert_eq!(
-        out.len(),
-        queries.len() * vectors.len(),
-        "one output slot per (query, row) pair required"
-    );
-    weighted_l1_batch_tiled(weights, 0, queries, vectors, out);
-}
-
-/// The Q×N batch kernel with *per-query* weight rows: like
-/// [`weighted_l1_flat_batch`], but query `q` is scored under
-/// `weights.row(q)` instead of one shared weight vector. This is the batched
-/// form of the paper's query-sensitive `D_out`, whose weights `A_i(q)`
-/// depend on the query; `EmbeddedQueryBatch::score_flat_batch` in `qse-core`
-/// is its caller.
-///
-/// # Panics
-/// Panics if the weight store does not hold exactly one row per query, if
-/// any dimensionality disagrees with `vectors`, or if
-/// `out.len() != queries.len() * vectors.len()`.
-pub fn weighted_l1_flat_batch_per_query<E: FilterElem>(
-    weights: &FlatVectors,
-    queries: &FlatVectors,
-    vectors: &FlatStore<E>,
-    out: &mut [f64],
-) {
-    let dim = vectors.dim();
-    assert_eq!(weights.dim(), dim, "weight/store dimensionality mismatch");
-    assert_eq!(queries.dim(), dim, "query/store dimensionality mismatch");
-    assert_eq!(
-        weights.len(),
-        queries.len(),
-        "one weight row per query required"
-    );
-    assert_eq!(
-        out.len(),
-        queries.len() * vectors.len(),
-        "one output slot per (query, row) pair required"
-    );
-    weighted_l1_batch_tiled(weights.as_slice(), dim, queries, vectors, out);
-}
-
-/// One *sequential* tile of [`weighted_l1_flat_batch`]: score only queries
-/// `start..end` of `queries` (shared weights), writing the row-major
-/// `(end − start) × vectors.len()` tile into `out` on the calling thread.
-///
-/// This is the entry point for callers that orchestrate their own tile
-/// fan-out — the batched retrieval pipelines hand each worker one
-/// [`QUERY_TILE`]-sized range so the scores land in a small tile-local
-/// buffer that is consumed while still cache-hot, without re-entering the
-/// parallel driver or copying query rows. Outputs are bit-identical to the
-/// corresponding rows of the full batch kernel.
-///
-/// # Panics
-/// Panics on dimensionality mismatch, an out-of-bounds query range, or
-/// `out.len() != (end - start) * vectors.len()`.
-pub fn weighted_l1_flat_batch_range<E: FilterElem>(
-    weights: &[f64],
-    queries: &FlatVectors,
-    start: usize,
-    end: usize,
-    vectors: &FlatStore<E>,
-    out: &mut [f64],
-) {
-    let dim = vectors.dim();
-    assert_eq!(weights.len(), dim, "weight/store dimensionality mismatch");
-    assert_eq!(queries.dim(), dim, "query/store dimensionality mismatch");
-    assert!(
-        start <= end && end <= queries.len(),
-        "query range {start}..{end} out of bounds for {} queries",
-        queries.len()
-    );
-    assert_eq!(
-        out.len(),
-        (end - start) * vectors.len(),
-        "one output slot per (query, row) pair required"
-    );
-    weighted_l1_score_query_range(weights, 0, queries, start, end, vectors, out);
-}
-
-/// One *sequential* tile of [`weighted_l1_flat_batch_per_query`]: like
-/// [`weighted_l1_flat_batch_range`] but query `q` is scored under
-/// `weights.row(q)` (the batched query-sensitive `D_out`).
-///
-/// # Panics
-/// As [`weighted_l1_flat_batch_range`], plus if the weight store does not
-/// hold exactly one row per query.
-pub fn weighted_l1_flat_batch_per_query_range<E: FilterElem>(
-    weights: &FlatVectors,
-    queries: &FlatVectors,
-    start: usize,
-    end: usize,
-    vectors: &FlatStore<E>,
-    out: &mut [f64],
-) {
-    let dim = vectors.dim();
-    assert_eq!(weights.dim(), dim, "weight/store dimensionality mismatch");
-    assert_eq!(queries.dim(), dim, "query/store dimensionality mismatch");
-    assert_eq!(
-        weights.len(),
-        queries.len(),
-        "one weight row per query required"
-    );
-    assert!(
-        start <= end && end <= queries.len(),
-        "query range {start}..{end} out of bounds for {} queries",
-        queries.len()
-    );
-    assert_eq!(
-        out.len(),
-        (end - start) * vectors.len(),
-        "one output slot per (query, row) pair required"
-    );
-    weighted_l1_score_query_range(weights.as_slice(), dim, queries, start, end, vectors, out);
-}
-
-/// The single-query **filter-path** scan: like [`weighted_l1_flat`] but
-/// dispatched through [`FilterElem::scan_filter`], so each backend runs its
-/// fastest sound kernel — the decode path for `f64`/`f32` (bit-identical to
-/// [`weighted_l1_flat`]) and the in-domain integer SAD kernel of
-/// [`crate::sad`] for `u8` (scores within the documented query-side
-/// quantization bound of the decode path). This is the entry point the
-/// filter-and-refine retrieval pipelines use.
-///
-/// # Panics
-/// As [`weighted_l1_flat`].
-pub fn weighted_l1_filter_flat<E: FilterElem>(
-    weights: &[f64],
-    query: &[f64],
-    vectors: &FlatStore<E>,
-    out: &mut [f64],
-) {
-    let dim = vectors.dim();
-    assert_eq!(weights.len(), dim, "weight/store dimensionality mismatch");
-    assert_eq!(query.len(), dim, "query/store dimensionality mismatch");
-    assert_eq!(out.len(), vectors.len(), "one output slot per row required");
-    E::scan_filter(weights, query, vectors, out);
-}
-
-/// Shared driver of the Q×N **filter-path** batch kernels: the same tile
-/// fan-out as [`weighted_l1_batch_tiled`], with each tile scored through
-/// [`FilterElem::scan_filter_range`] so the backend picks its kernel.
-fn weighted_l1_filter_batch_tiled<E: FilterElem>(
-    weights: &[f64],
-    w_stride: usize,
-    queries: &FlatVectors,
-    vectors: &FlatStore<E>,
-    out: &mut [f64],
-) {
-    let n = vectors.len();
-    debug_assert_eq!(out.len(), queries.len() * n);
-    if queries.is_empty() || n == 0 || vectors.dim() == 0 {
-        return E::scan_filter_range(weights, w_stride, queries, 0, queries.len(), vectors, out);
-    }
-    out.par_chunks_mut(QUERY_TILE * n)
-        .enumerate()
-        .for_each(|(tile, tile_out)| {
-            let q0 = tile * QUERY_TILE;
-            let qcount = tile_out.len() / n;
-            E::scan_filter_range(
-                weights,
-                w_stride,
-                queries,
-                q0,
-                q0 + qcount,
-                vectors,
-                tile_out,
-            );
-        });
-}
-
-/// The Q×N **filter-path** batch kernel with one shared weight vector:
-/// like [`weighted_l1_flat_batch`] but dispatched per backend (see
-/// [`weighted_l1_filter_flat`]); bit-identical to it on the exact
-/// backends, the tiled integer SAD kernel on `u8`.
-///
-/// # Panics
-/// As [`weighted_l1_flat_batch`].
-pub fn weighted_l1_filter_batch<E: FilterElem>(
-    weights: &[f64],
-    queries: &FlatVectors,
-    vectors: &FlatStore<E>,
-    out: &mut [f64],
-) {
-    let dim = vectors.dim();
-    assert_eq!(weights.len(), dim, "weight/store dimensionality mismatch");
-    assert_eq!(queries.dim(), dim, "query/store dimensionality mismatch");
-    assert_eq!(
-        out.len(),
-        queries.len() * vectors.len(),
-        "one output slot per (query, row) pair required"
-    );
-    weighted_l1_filter_batch_tiled(weights, 0, queries, vectors, out);
-}
-
-/// The Q×N **filter-path** batch kernel with per-query weight rows: like
-/// [`weighted_l1_flat_batch_per_query`] but dispatched per backend (see
-/// [`weighted_l1_filter_flat`]).
-///
-/// # Panics
-/// As [`weighted_l1_flat_batch_per_query`].
-pub fn weighted_l1_filter_batch_per_query<E: FilterElem>(
-    weights: &FlatVectors,
-    queries: &FlatVectors,
-    vectors: &FlatStore<E>,
-    out: &mut [f64],
-) {
-    let dim = vectors.dim();
-    assert_eq!(weights.dim(), dim, "weight/store dimensionality mismatch");
-    assert_eq!(queries.dim(), dim, "query/store dimensionality mismatch");
-    assert_eq!(
-        weights.len(),
-        queries.len(),
-        "one weight row per query required"
-    );
-    assert_eq!(
-        out.len(),
-        queries.len() * vectors.len(),
-        "one output slot per (query, row) pair required"
-    );
-    weighted_l1_filter_batch_tiled(weights.as_slice(), dim, queries, vectors, out);
-}
-
-/// One *sequential* tile of [`weighted_l1_filter_batch`] (shared
-/// weights), dispatched through [`FilterElem::scan_filter_range`] — the
-/// filter-path counterpart of [`weighted_l1_flat_batch_range`] for
-/// callers that orchestrate their own tile fan-out.
-///
-/// # Panics
-/// As [`weighted_l1_flat_batch_range`].
-pub fn weighted_l1_filter_batch_range<E: FilterElem>(
-    weights: &[f64],
-    queries: &FlatVectors,
-    start: usize,
-    end: usize,
-    vectors: &FlatStore<E>,
-    out: &mut [f64],
-) {
-    let dim = vectors.dim();
-    assert_eq!(weights.len(), dim, "weight/store dimensionality mismatch");
-    assert_eq!(queries.dim(), dim, "query/store dimensionality mismatch");
-    assert!(
-        start <= end && end <= queries.len(),
-        "query range {start}..{end} out of bounds for {} queries",
-        queries.len()
-    );
-    assert_eq!(
-        out.len(),
-        (end - start) * vectors.len(),
-        "one output slot per (query, row) pair required"
-    );
-    E::scan_filter_range(weights, 0, queries, start, end, vectors, out);
-}
-
-/// One *sequential* tile of [`weighted_l1_filter_batch_per_query`]
-/// (per-query weight rows), dispatched through
-/// [`FilterElem::scan_filter_range`].
-///
-/// # Panics
-/// As [`weighted_l1_flat_batch_per_query_range`].
-pub fn weighted_l1_filter_batch_per_query_range<E: FilterElem>(
-    weights: &FlatVectors,
-    queries: &FlatVectors,
-    start: usize,
-    end: usize,
-    vectors: &FlatStore<E>,
-    out: &mut [f64],
-) {
-    let dim = vectors.dim();
-    assert_eq!(weights.dim(), dim, "weight/store dimensionality mismatch");
-    assert_eq!(queries.dim(), dim, "query/store dimensionality mismatch");
-    assert_eq!(
-        weights.len(),
-        queries.len(),
-        "one weight row per query required"
-    );
-    assert!(
-        start <= end && end <= queries.len(),
-        "query range {start}..{end} out of bounds for {} queries",
-        queries.len()
-    );
-    assert_eq!(
-        out.len(),
-        (end - start) * vectors.len(),
-        "one output slot per (query, row) pair required"
-    );
-    E::scan_filter_range(weights.as_slice(), dim, queries, start, end, vectors, out);
-}
-
 /// The `Lp` distance between two equal-length vectors.
 ///
 /// `p = 1` is the measure the paper uses in the filter step; `p = 2` is the
@@ -1637,7 +1159,7 @@ impl WeightedL1 {
 
     /// Evaluate `Σ_i w_i |a_i − b_i|` (in the canonical blocked order of
     /// [`weighted_l1_row`], so the result is bit-identical to what
-    /// [`Self::eval_flat`] writes for the same row).
+    /// [`FlatStore::scan`] writes for the same row of an `f64` store).
     ///
     /// # Panics
     /// Panics if the vectors do not match the weight dimensionality.
@@ -1653,116 +1175,6 @@ impl WeightedL1 {
             "vector/weight dimensionality mismatch"
         );
         weighted_l1_row(&self.weights, a, b)
-    }
-
-    /// Score `query` against every row of `vectors` in one pass over the
-    /// contiguous buffer: `out[i] = Σ_j w_j |query_j − row_i_j|`.
-    ///
-    /// This is the filter step's hot kernel, generic over the store's
-    /// [`FilterElem`] precision. It walks the flat storage block by block
-    /// (decoding lossy backends to `f64` scratch, borrowing `f64` storage
-    /// zero-copy) and reduces coordinates in [`LANES`]-wide blocks with
-    /// independent accumulators (see [`weighted_l1_row`]), so for the exact
-    /// backend each `out[i]` is **bit-identical** to
-    /// `self.eval(query, vectors.row(i))` while the scan auto-vectorizes,
-    /// and for lossy backends it equals scoring the decoded row.
-    ///
-    /// # Panics
-    /// Panics if `query` or the store do not match the weight dimensionality,
-    /// or if `out.len() != vectors.len()`.
-    pub fn eval_flat<E: FilterElem>(&self, query: &[f64], vectors: &FlatStore<E>, out: &mut [f64]) {
-        weighted_l1_flat(&self.weights, query, vectors, out)
-    }
-
-    /// Score a whole query batch against every row of `vectors` in
-    /// [`QUERY_TILE`]-row tiles: `out[q * vectors.len() + i] =
-    /// Σ_j w_j |queries_q_j − row_i_j|`, row-major Q×N.
-    ///
-    /// This is the batched filter step's hot kernel. A tile of query rows
-    /// stays cache-resident while the database buffer streams through once
-    /// per tile (instead of once per query), and tiles run in parallel on
-    /// the persistent worker pool. Each `out[q * n + i]` is **bit-identical**
-    /// to `self.eval(queries.row(q), vectors.row(i))` — and to what
-    /// [`Self::eval_flat`] writes for query `q` — at any thread count.
-    ///
-    /// # Panics
-    /// Panics if `queries` or the store do not match the weight
-    /// dimensionality, or if `out.len() != queries.len() * vectors.len()`.
-    pub fn eval_flat_batch<E: FilterElem>(
-        &self,
-        queries: &FlatVectors,
-        vectors: &FlatStore<E>,
-        out: &mut [f64],
-    ) {
-        weighted_l1_flat_batch(&self.weights, queries, vectors, out)
-    }
-
-    /// One *sequential* tile of [`Self::eval_flat_batch`]: score only
-    /// queries `start..end` on the calling thread, writing the row-major
-    /// `(end − start) × vectors.len()` tile into `out`. For callers that
-    /// orchestrate their own tile fan-out (the batched retrieval
-    /// pipelines); bit-identical to the corresponding rows of the full
-    /// batch.
-    ///
-    /// # Panics
-    /// As [`weighted_l1_flat_batch_range`].
-    pub fn eval_flat_batch_range<E: FilterElem>(
-        &self,
-        queries: &FlatVectors,
-        start: usize,
-        end: usize,
-        vectors: &FlatStore<E>,
-        out: &mut [f64],
-    ) {
-        weighted_l1_flat_batch_range(&self.weights, queries, start, end, vectors, out)
-    }
-
-    /// The **filter-path** counterpart of [`Self::eval_flat`]: dispatched
-    /// through [`FilterElem::scan_filter`], so exact backends run the
-    /// decode kernel bit-identically while `u8` runs the in-domain
-    /// integer SAD kernel of [`crate::sad`] (scores within the documented
-    /// query-side quantization bound). The retrieval pipelines score
-    /// their filter step through this.
-    ///
-    /// # Panics
-    /// As [`Self::eval_flat`].
-    pub fn eval_filter<E: FilterElem>(
-        &self,
-        query: &[f64],
-        vectors: &FlatStore<E>,
-        out: &mut [f64],
-    ) {
-        weighted_l1_filter_flat(&self.weights, query, vectors, out)
-    }
-
-    /// The **filter-path** counterpart of [`Self::eval_flat_batch`]
-    /// (backend-dispatched tiled scan, see [`Self::eval_filter`]).
-    ///
-    /// # Panics
-    /// As [`Self::eval_flat_batch`].
-    pub fn eval_filter_batch<E: FilterElem>(
-        &self,
-        queries: &FlatVectors,
-        vectors: &FlatStore<E>,
-        out: &mut [f64],
-    ) {
-        weighted_l1_filter_batch(&self.weights, queries, vectors, out)
-    }
-
-    /// The **filter-path** counterpart of [`Self::eval_flat_batch_range`]
-    /// (backend-dispatched sequential tile, see [`Self::eval_filter`]).
-    ///
-    /// # Panics
-    /// As [`Self::eval_flat_batch_range`].
-    pub fn eval_filter_batch_range<E: FilterElem>(
-        &self,
-        queries: &FlatVectors,
-        start: usize,
-        end: usize,
-        vectors: &FlatStore<E>,
-        out: &mut [f64],
-    ) {
-        weighted_l1_filter_batch_range(&self.weights, queries, start, end, vectors, out)
     }
 }
 
@@ -1912,7 +1324,7 @@ mod tests {
     }
 
     #[test]
-    fn eval_flat_matches_per_row_eval_bitwise() {
+    fn scan_matches_per_row_eval_bitwise() {
         // Dims straddling the lane width, including the exact multiples.
         for dim in [1, 3, 4, 5, 7, 8, 11, 16, 67] {
             let weights: Vec<f64> = (0..dim).map(|i| 0.25 + (i % 5) as f64 * 0.61).collect();
@@ -1924,10 +1336,10 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            let d = WeightedL1::new(weights);
+            let d = WeightedL1::new(weights.clone());
             let fv = FlatVectors::from_rows_with_dim(dim, rows);
             let mut out = vec![f64::NAN; fv.len()];
-            d.eval_flat(&query, &fv, &mut out);
+            fv.scan(&query, &weights, &mut out);
             for (i, score) in out.iter().enumerate() {
                 assert_eq!(
                     score.to_bits(),
@@ -1939,32 +1351,30 @@ mod tests {
     }
 
     #[test]
-    fn eval_flat_on_empty_store_writes_nothing() {
-        let d = WeightedL1::uniform(3);
+    fn scan_on_empty_store_writes_nothing() {
         let fv = FlatVectors::with_dim(3);
         let mut out: Vec<f64> = Vec::new();
-        d.eval_flat(&[1.0, 2.0, 3.0], &fv, &mut out);
+        fv.scan(&[1.0, 2.0, 3.0], &[1.0; 3], &mut out);
         assert!(out.is_empty());
         assert!(fv.is_empty());
         assert_eq!(fv.iter_rows().count(), 0);
     }
 
     #[test]
-    fn eval_flat_handles_zero_dimensional_rows() {
+    fn scan_handles_zero_dimensional_rows() {
         // dim = 0: every row is the empty vector and every distance is 0.
-        let d = WeightedL1::new(Vec::new());
         let mut fv = FlatVectors::with_dim(0);
         fv.push(&[]);
         fv.push(&[]);
         fv.push(&[]);
         assert_eq!(fv.len(), 3);
         let mut out = vec![f64::NAN; 3];
-        d.eval_flat(&[], &fv, &mut out);
+        fv.scan(&[], &[], &mut out);
         assert_eq!(out, vec![0.0, 0.0, 0.0]);
         fv.swap_remove(1);
         assert_eq!(fv.len(), 2);
         let mut out = vec![f64::NAN; 2];
-        d.eval_flat(&[], &fv, &mut out);
+        fv.scan(&[], &[], &mut out);
         assert_eq!(out, vec![0.0, 0.0]);
     }
 
@@ -1986,16 +1396,7 @@ mod tests {
         fv.push(&[1.0]);
     }
 
-    #[test]
-    #[should_panic(expected = "one output slot per row")]
-    fn eval_flat_rejects_wrong_output_length() {
-        let d = WeightedL1::uniform(2);
-        let fv = FlatVectors::from_rows(vec![vec![0.0, 0.0]]);
-        let mut out = vec![0.0; 2];
-        d.eval_flat(&[0.0, 0.0], &fv, &mut out);
-    }
-
-    /// Deterministic pseudo-random store for the batch-kernel tests.
+    /// Deterministic pseudo-random store for the batch-scan tests.
     fn synthetic_store(dim: usize, rows: usize, phase: f64) -> FlatVectors {
         FlatVectors::from_rows_with_dim(
             dim,
@@ -2009,10 +1410,14 @@ mod tests {
         )
     }
 
-    /// The decode-path ISA dispatch (single-query and tiled bodies
-    /// recompiled under AVX2, mirroring the SAD scan) must never change a
-    /// bit: compare the dispatched entry points against the baseline
-    /// bodies directly, for both exact backends.
+    fn bits(scores: &[f64]) -> Vec<u64> {
+        scores.iter().map(|s| s.to_bits()).collect()
+    }
+
+    /// The decode-tile ISA dispatch (the tile body recompiled under AVX2,
+    /// mirroring the SAD scan) must never change a bit: compare the
+    /// dispatched tile against the baseline body directly, for both exact
+    /// backends, on a lone query (the odd-tail path) and on a batch.
     #[test]
     fn decode_isa_dispatch_is_bit_identical_to_scalar() {
         fn check<E: FilterElem>(store: &FlatStore<E>) {
@@ -2020,46 +1425,16 @@ mod tests {
             let rows = store.len();
             let weights: Vec<f64> = (0..dim).map(|i| 0.2 + (i % 5) as f64 * 0.33).collect();
             let queries = synthetic_store(dim, 5, 0.75);
-            // Single-query scan: dispatch vs baseline body.
-            let mut dispatched = vec![f64::NAN; rows];
-            weighted_l1_flat(&weights, queries.row(0), store, &mut dispatched);
-            let mut scalar = vec![f64::NAN; rows];
-            l1_flat_body(&weights, queries.row(0), store, &mut scalar);
-            for (i, (d, s)) in dispatched.iter().zip(&scalar).enumerate() {
+            for qcount in [1, queries.len()] {
+                let coords = &queries.as_slice()[..qcount * dim];
+                let mut dispatched = vec![f64::NAN; qcount * rows];
+                weighted_l1_score_tile(store, coords, &weights, &mut dispatched);
+                let mut scalar = vec![f64::NAN; qcount * rows];
+                weighted_l1_score_tile_body(store, coords, &weights, &mut scalar);
                 assert_eq!(
-                    d.to_bits(),
-                    s.to_bits(),
-                    "{} flat, dim {dim}, row {i}",
-                    E::NAME
-                );
-            }
-            // Tiled batch scan: dispatch vs baseline body.
-            let qcount = queries.len();
-            let mut dispatched = vec![f64::NAN; qcount * rows];
-            weighted_l1_score_tile(
-                &weights,
-                0,
-                queries.as_slice(),
-                qcount,
-                dim,
-                store,
-                &mut dispatched,
-            );
-            let mut scalar = vec![f64::NAN; qcount * rows];
-            weighted_l1_score_tile_body(
-                &weights,
-                0,
-                queries.as_slice(),
-                qcount,
-                dim,
-                store,
-                &mut scalar,
-            );
-            for (i, (d, s)) in dispatched.iter().zip(&scalar).enumerate() {
-                assert_eq!(
-                    d.to_bits(),
-                    s.to_bits(),
-                    "{} tile, dim {dim}, slot {i}",
+                    bits(&dispatched),
+                    bits(&scalar),
+                    "{} tile, dim {dim}, {qcount} queries",
                     E::NAME
                 );
             }
@@ -2078,34 +1453,31 @@ mod tests {
     }
 
     #[test]
-    fn eval_flat_batch_matches_per_query_eval_flat_bitwise() {
+    fn batch_scan_matches_per_query_scan_bitwise() {
         // Batch sizes straddling the tile width, dims straddling the lane
-        // width — every score must equal the per-query kernel bit for bit.
+        // width — every score must equal the one-query scan bit for bit.
         for dim in [1, 3, 4, 5, 8, 67] {
             for qcount in [1, 2, 15, 16, 17, 33] {
                 let weights: Vec<f64> = (0..dim).map(|i| 0.1 + (i % 7) as f64 * 0.43).collect();
-                let d = WeightedL1::new(weights);
                 let queries = synthetic_store(dim, qcount, 0.25);
                 let store = synthetic_store(dim, 21, 7.5);
                 let mut batch = vec![f64::NAN; qcount * store.len()];
-                d.eval_flat_batch(&queries, &store, &mut batch);
+                store.scan(queries.as_slice(), &weights, &mut batch);
                 let mut single = vec![f64::NAN; store.len()];
                 for q in 0..qcount {
-                    d.eval_flat(queries.row(q), &store, &mut single);
-                    for (i, score) in single.iter().enumerate() {
-                        assert_eq!(
-                            batch[q * store.len() + i].to_bits(),
-                            score.to_bits(),
-                            "dim {dim}, batch {qcount}, query {q}, row {i}"
-                        );
-                    }
+                    store.scan(queries.row(q), &weights, &mut single);
+                    assert_eq!(
+                        bits(&batch[q * store.len()..(q + 1) * store.len()]),
+                        bits(&single),
+                        "dim {dim}, batch {qcount}, query {q}"
+                    );
                 }
             }
         }
     }
 
     #[test]
-    fn per_query_weights_batch_matches_per_query_flat_scans_bitwise() {
+    fn per_query_weights_scan_matches_per_query_scans_bitwise() {
         // The query-sensitive form: every query carries its own weight row.
         for dim in [1, 4, 9] {
             let qcount = 19;
@@ -2118,116 +1490,152 @@ mod tests {
             );
             let store = synthetic_store(dim, 30, 3.0);
             let mut batch = vec![f64::NAN; qcount * store.len()];
-            weighted_l1_flat_batch_per_query(&weights, &queries, &store, &mut batch);
+            store.scan(queries.as_slice(), weights.as_slice(), &mut batch);
             let mut single = vec![f64::NAN; store.len()];
             for q in 0..qcount {
-                weighted_l1_flat(weights.row(q), queries.row(q), &store, &mut single);
-                for (i, score) in single.iter().enumerate() {
-                    assert_eq!(
-                        batch[q * store.len() + i].to_bits(),
-                        score.to_bits(),
-                        "dim {dim}, query {q}, row {i}"
-                    );
-                }
+                store.scan(queries.row(q), weights.row(q), &mut single);
+                assert_eq!(
+                    bits(&batch[q * store.len()..(q + 1) * store.len()]),
+                    bits(&single),
+                    "dim {dim}, query {q}"
+                );
             }
         }
     }
 
     #[test]
-    fn range_kernels_match_the_corresponding_rows_of_the_full_batch() {
-        // The sequential single-tile entry points must reproduce their rows
-        // of the full batch bit for bit, for both weight layouts.
+    fn sub_batch_scans_match_the_corresponding_rows_of_the_full_batch() {
+        // Scanning a slice of the query rows reproduces those rows of the
+        // full batch bit for bit, for both weight layouts.
         let dim = 5;
         let qcount = 2 * QUERY_TILE + 3;
         let queries = synthetic_store(dim, qcount, 0.5);
         let store = synthetic_store(dim, 41, 9.0);
+        let n = store.len();
         let shared: Vec<f64> = (0..dim).map(|i| 0.2 + i as f64 * 0.3).collect();
         let per_query = synthetic_store(dim, qcount, 4.25);
-        let mut full_shared = vec![f64::NAN; qcount * store.len()];
-        weighted_l1_flat_batch(&shared, &queries, &store, &mut full_shared);
-        let mut full_pq = vec![f64::NAN; qcount * store.len()];
-        weighted_l1_flat_batch_per_query(&per_query, &queries, &store, &mut full_pq);
+        let mut full_shared = vec![f64::NAN; qcount * n];
+        store.scan(queries.as_slice(), &shared, &mut full_shared);
+        let mut full_pq = vec![f64::NAN; qcount * n];
+        store.scan(queries.as_slice(), per_query.as_slice(), &mut full_pq);
         for (start, end) in [(0, 0), (0, 3), (7, QUERY_TILE + 5), (qcount - 1, qcount)] {
-            let mut tile = vec![f64::NAN; (end - start) * store.len()];
-            weighted_l1_flat_batch_range(&shared, &queries, start, end, &store, &mut tile);
+            let coords = &queries.as_slice()[start * dim..end * dim];
+            let mut tile = vec![f64::NAN; (end - start) * n];
+            store.scan(coords, &shared, &mut tile);
             assert_eq!(
-                tile.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-                full_shared[start * store.len()..end * store.len()]
-                    .iter()
-                    .map(|s| s.to_bits())
-                    .collect::<Vec<_>>(),
-                "shared weights, range {start}..{end}"
+                bits(&tile),
+                bits(&full_shared[start * n..end * n]),
+                "shared weights, rows {start}..{end}"
             );
-            let mut tile = vec![f64::NAN; (end - start) * store.len()];
-            weighted_l1_flat_batch_per_query_range(
-                &per_query, &queries, start, end, &store, &mut tile,
-            );
+            let mut tile = vec![f64::NAN; (end - start) * n];
+            let w = &per_query.as_slice()[start * dim..end * dim];
+            store.scan(coords, w, &mut tile);
             assert_eq!(
-                tile.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-                full_pq[start * store.len()..end * store.len()]
-                    .iter()
-                    .map(|s| s.to_bits())
-                    .collect::<Vec<_>>(),
-                "per-query weights, range {start}..{end}"
+                bits(&tile),
+                bits(&full_pq[start * n..end * n]),
+                "per-query weights, rows {start}..{end}"
             );
         }
     }
 
     #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn range_kernel_rejects_out_of_bounds_ranges() {
-        let queries = FlatVectors::from_rows(vec![vec![0.0]]);
-        let store = FlatVectors::from_rows(vec![vec![1.0]]);
-        let mut out = vec![0.0; 2];
-        weighted_l1_flat_batch_range(&[1.0], &queries, 0, 2, &store, &mut out);
-    }
-
-    #[test]
-    fn eval_flat_batch_on_empty_query_batch_writes_nothing() {
-        let d = WeightedL1::uniform(3);
-        let queries = FlatVectors::with_dim(3);
+    fn scan_of_an_empty_query_batch_writes_nothing() {
         let store = FlatVectors::from_rows(vec![vec![1.0, 2.0, 3.0]]);
         let mut out: Vec<f64> = Vec::new();
-        d.eval_flat_batch(&queries, &store, &mut out);
+        store.scan(&[], &[1.0; 3], &mut out);
+        store.scan(&[], &[], &mut out);
         assert!(out.is_empty());
     }
 
     #[test]
-    fn eval_flat_batch_on_empty_store_writes_nothing() {
-        let d = WeightedL1::uniform(2);
-        let queries = FlatVectors::from_rows(vec![vec![1.0, 2.0], vec![3.0, 4.0]]);
+    fn batch_scan_on_empty_store_writes_nothing() {
         let store = FlatVectors::with_dim(2);
         let mut out: Vec<f64> = Vec::new();
-        d.eval_flat_batch(&queries, &store, &mut out);
+        store.scan(&[1.0, 2.0, 3.0, 4.0], &[1.0; 2], &mut out);
         assert!(out.is_empty());
     }
 
     #[test]
-    fn eval_flat_batch_handles_zero_dimensional_query_buffers() {
-        // dim = 0 on both sides: every score is the empty sum, including for
-        // batches wider than one tile.
-        let d = WeightedL1::new(Vec::new());
-        let mut queries = FlatVectors::with_dim(0);
+    fn scan_handles_zero_dimensional_query_batches() {
+        // dim = 0: every score is the empty sum, including for batches
+        // wider than one tile (the query count comes from `out`).
         let mut store = FlatVectors::with_dim(0);
-        for _ in 0..QUERY_TILE + 3 {
-            queries.push(&[]);
-        }
         for _ in 0..5 {
             store.push(&[]);
         }
-        let mut out = vec![f64::NAN; queries.len() * store.len()];
-        d.eval_flat_batch(&queries, &store, &mut out);
+        let mut out = vec![f64::NAN; (QUERY_TILE + 3) * store.len()];
+        store.scan(&[], &[], &mut out);
         assert!(out.iter().all(|s| *s == 0.0));
+    }
+
+    /// A two-row, two-dimensional store of backend `E` scanned with
+    /// `coords` query values, `weights` weight values and `out` slots.
+    fn scan_shapes<E: FilterElem>(coords: usize, weights: usize, out: usize) {
+        let store = FlatStore::<E>::from_rows_with_dim(2, vec![vec![0.0, 1.0], vec![2.0, 3.0]]);
+        store.scan(&vec![0.5; coords], &vec![1.0; weights], &mut vec![0.0; out]);
     }
 
     #[test]
     #[should_panic(expected = "one output slot per (query, row) pair")]
-    fn eval_flat_batch_rejects_wrong_output_length() {
-        let d = WeightedL1::uniform(2);
-        let queries = FlatVectors::from_rows(vec![vec![0.0, 0.0]]);
-        let store = FlatVectors::from_rows(vec![vec![1.0, 1.0], vec![2.0, 2.0]]);
-        let mut out = vec![0.0; 3];
-        d.eval_flat_batch(&queries, &store, &mut out);
+    fn scan_rejects_wrong_output_length_f64() {
+        scan_shapes::<f64>(2, 2, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "one output slot per (query, row) pair")]
+    fn scan_rejects_wrong_output_length_f32() {
+        scan_shapes::<f32>(4, 2, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "one output slot per (query, row) pair")]
+    fn scan_rejects_wrong_output_length_u8() {
+        scan_shapes::<u8>(2, 2, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "whole rows")]
+    fn scan_rejects_ragged_coords_f64() {
+        scan_shapes::<f64>(3, 2, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "whole rows")]
+    fn scan_rejects_ragged_coords_f32() {
+        scan_shapes::<f32>(1, 2, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "whole rows")]
+    fn scan_rejects_ragged_coords_u8() {
+        // A query of the wrong dimensionality: the hook must never see it.
+        scan_shapes::<u8>(3, 3, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "one shared row or one row per query")]
+    fn scan_rejects_mismatched_weights_f64() {
+        scan_shapes::<f64>(4, 3, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "one shared row or one row per query")]
+    fn scan_rejects_mismatched_weights_f32() {
+        scan_shapes::<f32>(6, 4, 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "one shared row or one row per query")]
+    fn scan_rejects_mismatched_weights_u8() {
+        scan_shapes::<u8>(2, 1, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty query and weight rows")]
+    fn zero_dimensional_scan_rejects_coordinates() {
+        let mut store = FlatVectors::with_dim(0);
+        store.push(&[]);
+        store.scan(&[1.0], &[], &mut [0.0]);
     }
 
     #[test]
@@ -2274,13 +1682,13 @@ mod tests {
         assert_eq!(store.decode_row(3)[0], 10.0);
     }
 
-    /// Lossy-backend kernels must equal "decode the row, then run the
-    /// canonical reduction" bit for bit, for both the single-query scan and
-    /// the tiled batch kernel.
-    fn assert_backend_kernels_match_decoded_rows<E: FilterElem>() {
+    /// The `f32` decode tile must equal "decode the row, then run the
+    /// canonical reduction" bit for bit, for a lone query and for a batch
+    /// (shared weights).
+    #[test]
+    fn f32_scan_scores_exactly_the_decoded_rows() {
         for dim in [1, 3, 4, 5, 8, 67] {
             let weights: Vec<f64> = (0..dim).map(|i| 0.2 + (i % 5) as f64 * 0.37).collect();
-            let d = WeightedL1::new(weights.clone());
             let rows: Vec<Vec<f64>> = (0..QUERY_TILE + 9)
                 .map(|r| {
                     (0..dim)
@@ -2288,41 +1696,28 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            let store = FlatStore::<E>::from_rows_with_dim(dim, rows);
+            let store = FlatStore::<f32>::from_rows_with_dim(dim, rows);
             let queries = synthetic_store(dim, 2 * QUERY_TILE + 3, 0.75);
             let mut batch = vec![f64::NAN; queries.len() * store.len()];
-            d.eval_flat_batch(&queries, &store, &mut batch);
+            store.scan(queries.as_slice(), &weights, &mut batch);
             let mut single = vec![f64::NAN; store.len()];
             for q in 0..queries.len() {
-                d.eval_flat(queries.row(q), &store, &mut single);
+                store.scan(queries.row(q), &weights, &mut single);
                 for (i, score) in single.iter().enumerate() {
-                    let reference =
-                        weighted_l1_row(&d.weights, queries.row(q), &store.decode_row(i));
+                    let reference = weighted_l1_row(&weights, queries.row(q), &store.decode_row(i));
                     assert_eq!(
                         score.to_bits(),
                         reference.to_bits(),
-                        "{} eval_flat: dim {dim}, query {q}, row {i}",
-                        E::NAME
+                        "one query: dim {dim}, query {q}, row {i}"
                     );
                     assert_eq!(
                         batch[q * store.len() + i].to_bits(),
                         reference.to_bits(),
-                        "{} eval_flat_batch: dim {dim}, query {q}, row {i}",
-                        E::NAME
+                        "batch: dim {dim}, query {q}, row {i}"
                     );
                 }
             }
         }
-    }
-
-    #[test]
-    fn f32_kernels_score_exactly_the_decoded_rows() {
-        assert_backend_kernels_match_decoded_rows::<f32>();
-    }
-
-    #[test]
-    fn u8_kernels_score_exactly_the_decoded_rows() {
-        assert_backend_kernels_match_decoded_rows::<u8>();
     }
 
     #[test]
@@ -2331,14 +1726,14 @@ mod tests {
             // Empty store with explicit dim.
             let store = FlatStore::<E>::with_dim(3);
             let mut out: Vec<f64> = Vec::new();
-            WeightedL1::uniform(3).eval_flat(&[1.0, 2.0, 3.0], &store, &mut out);
+            store.scan(&[1.0, 2.0, 3.0], &[1.0; 3], &mut out);
             assert!(out.is_empty(), "{}", E::NAME);
             // dim-0 rows: every distance is the empty sum.
             let mut store = FlatStore::<E>::with_dim(0);
             store.push(&[]);
             store.push(&[]);
             let mut out = vec![f64::NAN; 2];
-            WeightedL1::new(Vec::new()).eval_flat(&[], &store, &mut out);
+            store.scan(&[], &[], &mut out);
             assert_eq!(out, vec![0.0, 0.0], "{}", E::NAME);
             assert!(store.decode_row(1).is_empty(), "{}", E::NAME);
             // push after the empty constructor keeps the dimensionality.
@@ -2361,16 +1756,6 @@ mod tests {
         assert_eq!(<f64 as FilterElem>::BYTES, 8);
         assert_eq!(<f32 as FilterElem>::BYTES, 4);
         assert_eq!(<u8 as FilterElem>::BYTES, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "one weight row per query")]
-    fn per_query_batch_rejects_mismatched_weight_rows() {
-        let queries = FlatVectors::from_rows(vec![vec![0.0], vec![1.0]]);
-        let weights = FlatVectors::from_rows(vec![vec![1.0]]);
-        let store = FlatVectors::from_rows(vec![vec![2.0]]);
-        let mut out = vec![0.0; 2];
-        weighted_l1_flat_batch_per_query(&weights, &queries, &store, &mut out);
     }
 
     #[test]

@@ -37,8 +37,8 @@ pub trait Embedding<O>: Send + Sync {
     }
 
     /// Embed a whole query batch into one flat row-major [`FlatVectors`]
-    /// buffer (row `q` is `F(queries[q])`), ready for the Q×N tiled filter
-    /// kernel `qse_distance::WeightedL1::eval_flat_batch`.
+    /// buffer (row `q` is `F(queries[q])`), ready for the batched filter
+    /// scan `qse_distance::FlatStore::scan`.
     ///
     /// Embedding fans out across rayon worker threads via
     /// [`Self::embed_all`]; each row is bit-identical to [`Self::embed`] on

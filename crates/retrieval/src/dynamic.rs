@@ -32,9 +32,9 @@ use rayon::prelude::*;
 /// swaps in a freshly trained model and re-embeds, and
 /// [`DynamicIndex::refit_store`] re-fits the quantization grid over the
 /// *current* database and re-encodes every row — no manual rebuild, no
-/// index identity change. Filter scans dispatch through the backend's
-/// `FilterElem::scan_filter` hook (decode path for the exact backends,
-/// the in-domain integer SAD kernel for `u8`; see `qse_distance::sad`).
+/// index identity change. Filter scans run `FlatStore::scan` (the decode
+/// tile for the exact backends, the in-domain integer SAD tile for `u8`;
+/// see `qse_distance::sad`).
 pub struct DynamicIndex<O, E: FilterElem = f64> {
     pub(crate) model: QseModel<O>,
     pub(crate) embedding: CompositeEmbedding<O>,
@@ -471,9 +471,9 @@ impl<O: Clone + Send + Sync, E: FilterElem> DynamicIndex<O, E> {
             let order = top_ids_by_score(&scores, &gids, keep);
             return Ok(self.refine(query, distance, k, &order));
         }
-        // Filter step: one backend-dispatched pass over the flat storage
-        // (the blocked weighted-L1 kernel for the exact backends, the
-        // integer SAD kernel for u8) + O(n) selection of the best p
+        // Filter step: one `FlatStore::scan` over the flat storage (the
+        // decode tile for the exact backends, the integer SAD tile for
+        // u8) + O(n) selection of the best p
         // (NaN-safe, ties broken by index) — exactly the static index's
         // hot path.
         let mut scores = vec![0.0; self.vectors.len()];

@@ -32,22 +32,22 @@
 //!   process) or a zero-copy borrow out of an `mmap`ed snapshot (the
 //!   `load_mmap` loaders); the scan kernels read both through the same
 //!   slice and are bit-identical across them;
-//! * the scan itself is the blocked batch kernel
-//!   [`WeightedL1::eval_flat`](qse_distance::WeightedL1::eval_flat) /
-//!   [`EmbeddedQuery::score_flat`](qse_core::EmbeddedQuery::score_flat) —
-//!   fixed-width lanes, independent accumulators, no per-row allocation —
-//!   whose outputs are bit-identical to the row-by-row scalar path;
+//! * the scan itself is [`FlatStore::scan`](qse_distance::FlatStore::scan)
+//!   — one batch of query rows against every stored row, no per-row
+//!   allocation. On the exact backends it runs the blocked decode tile
+//!   (fixed-width lanes, independent accumulators), whose outputs are
+//!   bit-identical to the row-by-row scalar path; on `u8` it runs the
+//!   integer weighted-SAD tile (see *Filter-store precision* below);
 //! * [`FilterRefineIndex::retrieve`] keeps the best `p` candidates with
 //!   `select_nth_unstable_by` — an O(n) selection — and only sorts those
 //!   `p`, instead of sorting the whole database (O(n log n));
 //! * [`FilterRefineIndex::retrieve_batch`] runs the batched pipeline:
-//!   batch-embed every query into flat storage (`embed_queries`), score the
-//!   whole batch with the Q×N *tiled* filter kernel
-//!   ([`WeightedL1::eval_flat_batch`](qse_distance::WeightedL1::eval_flat_batch)
-//!   / `EmbeddedQueryBatch::score_flat_batch`) — a tile of query rows stays
-//!   cache-resident while the database streams once per tile, and tiles fan
-//!   out across the persistent rayon worker pool — then select top-p and
-//!   refine per query in parallel. Every outcome is identical to calling
+//!   batch-embed every query into flat storage (`embed_queries`), cut the
+//!   batch into query tiles fanned out across the persistent rayon worker
+//!   pool, and score each tile with one `FlatStore::scan` — the tile's
+//!   query rows stay cache-resident while the database streams once per
+//!   tile — then select top-p and refine per query on the tile's hot
+//!   scores. Every outcome is identical to calling
 //!   [`FilterRefineIndex::retrieve`] query by query.
 //!
 //! Selection uses the strict total order `(score, index)` (NaN-safe via
@@ -72,10 +72,10 @@
 //! candidate set (`p → ⌈p · p_scale⌉`, capped at the database size) to
 //! absorb quantization error before the exact refine step reorders it.
 //!
-//! The filter scan itself is dispatched through the backend's
-//! `FilterElem::scan_filter` hook: the exact backends run the decode-path
-//! kernels bit-identically to the historical scan, while `u8` stores are
-//! scanned **in the integer domain** (`qse_distance::sad`) — the query is
+//! The filter scan dispatches through the backend's `FilterElem::scan`
+//! hook: the exact backends run the decode tile bit-identically to the
+//! historical scan, while `u8` stores are scanned **in the integer
+//! domain** (`qse_distance::sad`) — the query is
 //! quantized onto the store's grid at scoring time and the weighted
 //! sum-of-absolute-differences accumulates in widened integer arithmetic
 //! over the raw bytes, with one per-query rescale back to score units. The
@@ -91,6 +91,7 @@ use qse_core::QseModel;
 use qse_distance::{DistanceMeasure, WeightedL1};
 use qse_embedding::Embedding;
 use rayon::prelude::*;
+use std::ops::Range;
 
 pub use qse_distance::{FilterElem, FlatStore, FlatVectors};
 
@@ -107,6 +108,88 @@ pub(crate) enum FilterKind<O> {
     },
     /// The query-sensitive weighted L1 distance `D_out` of a trained model.
     QuerySensitive { model: QseModel<O> },
+}
+
+impl<O: Clone + Send + Sync> FilterKind<O> {
+    /// Dimensionality of the embedded vectors.
+    pub(crate) fn dim(&self) -> usize {
+        match self {
+            FilterKind::GlobalL1 { embedding, .. } => embedding.dim(),
+            FilterKind::QuerySensitive { model } => model.dim(),
+        }
+    }
+
+    /// Exact distance computations needed to embed one query.
+    pub(crate) fn embedding_cost(&self) -> usize {
+        match self {
+            FilterKind::GlobalL1 { embedding, .. } => embedding.embedding_cost(),
+            FilterKind::QuerySensitive { model } => model.embedding_cost(),
+        }
+    }
+
+    /// Embed one query into the form `FlatStore::scan` takes: its
+    /// coordinates and its weight row — the shared L1 weights, or the
+    /// query-sensitive `A_i(q)`.
+    pub(crate) fn embed(
+        &self,
+        query: &O,
+        distance: &dyn DistanceMeasure<O>,
+    ) -> (Vec<f64>, Vec<f64>) {
+        match self {
+            FilterKind::GlobalL1 { embedding, filter } => {
+                (embedding.embed(query, distance), filter.weights().to_vec())
+            }
+            FilterKind::QuerySensitive { model } => {
+                let eq = model.embed_query(query, distance);
+                (eq.coordinates, eq.weights)
+            }
+        }
+    }
+
+    /// Embed a whole query batch into the form `FlatStore::scan` takes
+    /// (see [`FilterBatch`]).
+    pub(crate) fn embed_batch(
+        &self,
+        queries: &[O],
+        distance: &dyn DistanceMeasure<O>,
+    ) -> FilterBatch {
+        match self {
+            FilterKind::GlobalL1 { embedding, filter } => FilterBatch {
+                coords: embedding.embed_queries(queries, distance),
+                weights: FlatVectors::from_rows(vec![filter.weights().to_vec()]),
+            },
+            FilterKind::QuerySensitive { model } => {
+                let batch = model.embed_queries(queries, distance);
+                FilterBatch {
+                    coords: batch.coordinates,
+                    weights: batch.weights,
+                }
+            }
+        }
+    }
+}
+
+/// An embedded query batch in filter form: one coordinate row per query,
+/// plus one shared weight row (global L1) or one weight row per query
+/// (query-sensitive) — the two weight layouts `FlatStore::scan` accepts.
+pub(crate) struct FilterBatch {
+    coords: FlatVectors,
+    weights: FlatVectors,
+}
+
+impl FilterBatch {
+    /// The coordinate and weight rows of `queries`, ready for
+    /// `FlatStore::scan`.
+    pub(crate) fn rows(&self, queries: Range<usize>) -> (&[f64], &[f64]) {
+        let dim = self.coords.dim();
+        let rows = queries.start * dim..queries.end * dim;
+        let weights = if self.weights.len() == 1 {
+            self.weights.as_slice()
+        } else {
+            &self.weights.as_slice()[rows.clone()]
+        };
+        (&self.coords.as_slice()[rows], weights)
+    }
 }
 
 /// Indices of the `p` smallest scores, in increasing order under the strict
@@ -496,10 +579,7 @@ impl<O: Clone + Send + Sync, E: FilterElem> FilterRefineIndex<O, E> {
 
     /// Dimensionality of the indexed vectors.
     pub fn dim(&self) -> usize {
-        match &self.kind {
-            FilterKind::GlobalL1 { embedding, .. } => embedding.dim(),
-            FilterKind::QuerySensitive { model } => model.dim(),
-        }
+        self.kind.dim()
     }
 
     /// Number of database objects indexed.
@@ -514,10 +594,7 @@ impl<O: Clone + Send + Sync, E: FilterElem> FilterRefineIndex<O, E> {
 
     /// Exact distance computations needed to embed one query.
     pub fn embedding_cost(&self) -> usize {
-        match &self.kind {
-            FilterKind::GlobalL1 { embedding, .. } => embedding.embedding_cost(),
-            FilterKind::QuerySensitive { model } => model.embedding_cost(),
-        }
+        self.kind.embedding_cost()
     }
 
     /// The embedded database vectors (flat row-major storage in the
@@ -528,21 +605,12 @@ impl<O: Clone + Send + Sync, E: FilterElem> FilterRefineIndex<O, E> {
 
     /// The filter score of every database vector against `query`, plus the
     /// embedding-step cost. This is the O(n · dim) linear scan at the heart
-    /// of the filter step — one pass of the blocked weighted-L1 batch kernel
-    /// over the contiguous flat storage (bit-identical to scoring row by
-    /// row, see `qse_distance::vector::weighted_l1_flat`).
+    /// of the filter step — one `FlatStore::scan` over the contiguous flat
+    /// storage (bit-identical to scoring row by row on the exact backends).
     fn filter_scores(&self, query: &O, distance: &dyn DistanceMeasure<O>) -> (Vec<f64>, usize) {
+        let (coords, weights) = self.kind.embed(query, distance);
         let mut scores = vec![0.0; self.vectors.len()];
-        match &self.kind {
-            FilterKind::GlobalL1 { embedding, filter } => {
-                let q = embedding.embed(query, distance);
-                filter.eval_filter(&q, &self.vectors, &mut scores);
-            }
-            FilterKind::QuerySensitive { model } => {
-                let eq = model.embed_query(query, distance);
-                eq.score_filter(&self.vectors, &mut scores);
-            }
-        }
+        self.vectors.scan(&coords, &weights, &mut scores);
         (scores, self.embedding_cost())
     }
 
@@ -670,8 +738,8 @@ impl<O: Clone + Send + Sync, E: FilterElem> FilterRefineIndex<O, E> {
     ///    persistent rayon worker pool.
     /// 2. **Per-tile filter + top-p + refine** — the batch is cut into
     ///    [`QUERY_TILE`](qse_distance::vector::QUERY_TILE)-query tiles that
-    ///    run in parallel on the pool. Each tile scores its queries with the
-    ///    Q×N tiled batch kernel (the tile's query rows stay cache-resident
+    ///    run in parallel on the pool. Each tile scores its queries with one
+    ///    `FlatStore::scan` (the tile's query rows stay cache-resident
     ///    while the database streams once per tile instead of once per
     ///    query), then runs the O(n) top-p selection and the exact-distance
     ///    refine step per query — on the tile's still-hot score rows, so no
@@ -734,34 +802,16 @@ impl<O: Clone + Send + Sync, E: FilterElem> FilterRefineIndex<O, E> {
             return Err(QueryError::EmptyBatch);
         }
         self.validate(database, k, p)?;
-        // The embedded batch carries everything a tile needs to score
-        // itself (the filter reference travels with the Global coordinates),
-        // so the per-tile closure never re-inspects `self.kind`.
-        enum EmbeddedBatch<'a> {
-            Global(&'a WeightedL1, FlatVectors),
-            QuerySensitive(qse_core::EmbeddedQueryBatch),
-        }
-        let embedded = match &self.kind {
-            FilterKind::GlobalL1 { embedding, filter } => {
-                EmbeddedBatch::Global(filter, embedding.embed_queries(queries, distance))
-            }
-            FilterKind::QuerySensitive { model } => {
-                EmbeddedBatch::QuerySensitive(model.embed_queries(queries, distance))
-            }
-        };
+        let embedded = self.kind.embed_batch(queries, distance);
         let embedding_cost = self.embedding_cost();
         Ok(tiled_query_pipeline(
             queries.len(),
             self.vectors.len(),
             self.effective_p(p),
             |a, b| queries[a] == queries[b],
-            |q0, q1, scores| match &embedded {
-                EmbeddedBatch::Global(filter, coords) => {
-                    filter.eval_filter_batch_range(coords, q0, q1, &self.vectors, scores);
-                }
-                EmbeddedBatch::QuerySensitive(batch) => {
-                    batch.score_filter_batch_range(q0, q1, &self.vectors, scores);
-                }
+            |q0, q1, scores| {
+                let (coords, weights) = embedded.rows(q0..q1);
+                self.vectors.scan(coords, weights, scores);
             },
             |q, _row, order| self.refine(&queries[q], database, distance, k, order, embedding_cost),
         ))

@@ -116,20 +116,19 @@ pub(crate) fn bounded_top_k(
         .collect()
 }
 
-/// Exact k nearest neighbors of an embedded `query` within a flat row-major
-/// vector store under a (weighted) L1 distance, computed with the blocked
-/// batch kernel [`WeightedL1::eval_flat`] — one allocation-free pass over
-/// the contiguous buffer — followed by the same O(n) `(score, index)`
-/// selection as [`knn`].
+/// The k nearest neighbors of an embedded `query` within a flat row-major
+/// vector store under a (weighted) L1 distance — exact on the `f64` store,
+/// approximate on the compact ones — computed with one allocation-free
+/// [`FlatStore::scan`] over the contiguous buffer followed by the same O(n)
+/// `(score, index)` selection as [`knn`].
 ///
 /// This is the brute-force path for databases that *are* vectors (or whose
 /// exact distance is the embedded one): `WeightedL1::uniform(dim)` gives
-/// plain L1, per-query weights give the query-sensitive `D_out`. The scan
-/// dispatches through the backend's `FilterElem::scan_filter` hook: on the
+/// plain L1, per-query weights give the query-sensitive `D_out`. On the
 /// default `f64` store the reported neighbors are identical to calling
-/// `distance.eval` row by row (the kernel is bit-identical to the scalar
+/// `distance.eval` row by row (the scan is bit-identical to the scalar
 /// path); on `f32` the ranking and distances are computed over the decoded
-/// rows; on `u8` the scan runs the in-domain integer SAD kernel
+/// rows; on `u8` the scan runs the in-domain integer SAD tile
 /// (`qse_distance::sad`) — the query is quantized onto the store's grid,
 /// so both ranking and reported distances additionally carry the
 /// documented bounded query-side quantization error (appropriate only
@@ -152,7 +151,7 @@ pub fn knn_flat<E: FilterElem>(
         vectors.len()
     );
     let mut scores = vec![0.0; vectors.len()];
-    distance.eval_filter(query, vectors, &mut scores);
+    vectors.scan(query, distance.weights(), &mut scores);
     let neighbors = top_p_by_score(&scores, k);
     let distances = neighbors.iter().map(|&i| scores[i]).collect();
     KnnResult {
@@ -161,14 +160,14 @@ pub fn knn_flat<E: FilterElem>(
     }
 }
 
-/// Exact k nearest neighbors of every row of an embedded query batch within
-/// a flat vector store, under a (weighted) L1 distance.
+/// The k nearest neighbors of every row of an embedded query batch within
+/// a flat vector store, under a (weighted) L1 distance (exact on `f64`, as
+/// [`knn_flat`]).
 ///
 /// The batched counterpart of [`knn_flat`], running the same tiled pipeline
 /// as the retrieval indexes (`filter_refine::tiled_query_pipeline`): the
 /// batch is cut into query tiles fanned out across the persistent worker
-/// pool, each tile scored in one pass of the tiled batch kernel
-/// [`WeightedL1::eval_flat_batch`] (the tile's query rows stay
+/// pool, each tile scored by one [`FlatStore::scan`] (the tile's query rows stay
 /// cache-resident while the store streams once per tile; no batch-sized
 /// score matrix is ever materialized), followed by the O(n)
 /// `(score, index)` selection per query on the tile's still-hot rows.
@@ -201,7 +200,14 @@ pub fn knn_flat_batch<E: FilterElem>(
         vectors.len(),
         k,
         |a, b| queries.row(a) == queries.row(b),
-        |q0, q1, scores| distance.eval_filter_batch_range(queries, q0, q1, vectors, scores),
+        |q0, q1, scores| {
+            let dim = queries.dim();
+            vectors.scan(
+                &queries.as_slice()[q0 * dim..q1 * dim],
+                distance.weights(),
+                scores,
+            )
+        },
         |_q, row, order| KnnResult {
             neighbors: order.to_vec(),
             distances: order.iter().map(|&i| row[i]).collect(),

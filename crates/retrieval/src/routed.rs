@@ -9,9 +9,9 @@
 //! 1. **Partition (indexing time)** — a seeded, deterministic k-means
 //!    ([`qse_embedding::KMeans`]) splits the embedded database into `C`
 //!    cells. Each cell owns its own [`FlatStore`], so the entire existing
-//!    backend machinery — `f64`/`f32` decode kernels, the `u8` integer
-//!    SAD kernel, the `scan_filter` dispatch hooks, the Q×N tiled batch
-//!    paths — is reused per cell **unchanged**. All cells of one `u8`
+//!    backend machinery — [`FlatStore::scan`] with the `f64`/`f32` decode
+//!    tile and the `u8` integer SAD tile — is reused per cell
+//!    **unchanged**. All cells of one `u8`
 //!    index share a *single* quantization grid fitted over the whole
 //!    collection ([`FlatStore::from_rows_with_params`]), so a row's
 //!    stored bytes — and with them its filter score — are exactly what
@@ -41,8 +41,8 @@
 //!
 //! [`RoutedIndex::retrieve_batch`] groups the batch **by cell** before
 //! scanning: every visited cell scores all the queries routed to it in
-//! one sequential Q×N tile ([`qse_distance::vector`]'s `_range` filter
-//! kernels), so a hot cell block serves a dense tile of query rows
+//! one sequential [`FlatStore::scan`], so a hot cell block serves a dense
+//! tile of query rows
 //! instead of one query at a time, and cells fan out across the
 //! persistent worker pool. Scores are then regrouped per query for
 //! selection and refine. (Unlike the flat pipeline's
@@ -54,10 +54,7 @@ use crate::filter_refine::{
     effective_p, refine_candidates, top_p_by_score, FilterKind, RetrievalOutcome,
 };
 use qse_core::QseModel;
-use qse_distance::vector::{
-    weighted_l1_filter_batch_per_query_range, weighted_l1_filter_batch_range,
-    weighted_l1_filter_flat, weighted_l1_row,
-};
+use qse_distance::vector::weighted_l1_row;
 use qse_distance::{DistanceMeasure, FilterElem, FlatStore, FlatVectors, MappedWords, WeightedL1};
 use qse_embedding::{Embedding, KMeans, KMeansConfig};
 use rayon::prelude::*;
@@ -399,18 +396,12 @@ impl<O: Clone + Send + Sync, E: FilterElem> RoutedIndex<O, E> {
 
     /// Dimensionality of the embedded vectors.
     pub fn dim(&self) -> usize {
-        match &self.kind {
-            FilterKind::GlobalL1 { embedding, .. } => embedding.dim(),
-            FilterKind::QuerySensitive { model } => model.dim(),
-        }
+        self.kind.dim()
     }
 
     /// Exact distance computations needed to embed one query.
     pub fn embedding_cost(&self) -> usize {
-        match &self.kind {
-            FilterKind::GlobalL1 { embedding, .. } => embedding.embedding_cost(),
-            FilterKind::QuerySensitive { model } => model.embedding_cost(),
-        }
+        self.kind.embedding_cost()
     }
 
     /// The cells nearest to an embedded query under the **filter**
@@ -419,7 +410,7 @@ impl<O: Clone + Send + Sync, E: FilterElem> RoutedIndex<O, E> {
     /// cell id: the first [`Self::n_probe`] of the ranking, extended past
     /// `n_probe` only while the visited cells hold fewer than `min_rows`
     /// rows (see [`probe_prefix`]).
-    fn route(&self, weights: &[f64], coords: &[f64], min_rows: usize) -> Vec<usize> {
+    fn route(&self, coords: &[f64], weights: &[f64], min_rows: usize) -> Vec<usize> {
         let centroids = self.router.centroids();
         let scores: Vec<f64> = (0..centroids.len())
             .map(|c| weighted_l1_row(weights, coords, centroids.row(c)))
@@ -431,23 +422,8 @@ impl<O: Clone + Send + Sync, E: FilterElem> RoutedIndex<O, E> {
     /// The cells `query` would visit at the current [`Self::n_probe`]
     /// (diagnostics / evaluation; spends one embedding).
     pub fn probe_cells(&self, query: &O, distance: &dyn DistanceMeasure<O>) -> Vec<usize> {
-        let (weights, coords) = self.embed_query(query, distance);
-        self.route(&weights, &coords, 0)
-    }
-
-    /// Embed one query into its filter form: the (per-query) weight
-    /// vector and coordinates the scans and the router consume.
-    fn embed_query(&self, query: &O, distance: &dyn DistanceMeasure<O>) -> (Vec<f64>, Vec<f64>) {
-        match &self.kind {
-            FilterKind::GlobalL1 { embedding, filter } => {
-                let coords = embedding.embed(query, distance);
-                (filter.weights().to_vec(), coords)
-            }
-            FilterKind::QuerySensitive { model } => {
-                let eq = model.embed_query(query, distance);
-                (eq.weights, eq.coordinates)
-            }
-        }
+        let (coords, weights) = self.kind.embed(query, distance);
+        self.route(&coords, &weights, 0)
     }
 
     /// Cluster-routed filter-and-refine retrieval: route to the nearest
@@ -492,20 +468,15 @@ impl<O: Clone + Send + Sync, E: FilterElem> RoutedIndex<O, E> {
         p: usize,
     ) -> Result<RetrievalOutcome, QueryError> {
         self.validate(database, k, p)?;
-        let (weights, coords) = self.embed_query(query, distance);
-        let visited = self.route(&weights, &coords, k);
+        let (coords, weights) = self.kind.embed(query, distance);
+        let visited = self.route(&coords, &weights, k);
         let pool: usize = visited.iter().map(|&c| self.cells[c].len()).sum();
         let mut scores = vec![0.0; pool];
         let mut gids = Vec::with_capacity(pool);
         let mut offset = 0;
         for &c in &visited {
             let cell = &self.cells[c];
-            weighted_l1_filter_flat(
-                &weights,
-                &coords,
-                cell,
-                &mut scores[offset..offset + cell.len()],
-            );
+            cell.scan(&coords, &weights, &mut scores[offset..offset + cell.len()]);
             gids.extend_from_slice(&self.ids[c]);
             offset += cell.len();
         }
@@ -568,33 +539,17 @@ impl<O: Clone + Send + Sync, E: FilterElem> RoutedIndex<O, E> {
             return Err(QueryError::EmptyBatch);
         }
         self.validate(database, k, p)?;
-        // Batch-embed: coordinates (and, query-sensitive, weight rows) in
-        // flat storage, exactly like the flat pipeline.
-        enum RoutedBatch<'a> {
-            Global(&'a WeightedL1, FlatVectors),
-            QuerySensitive(qse_core::EmbeddedQueryBatch),
-        }
-        let embedded = match &self.kind {
-            FilterKind::GlobalL1 { embedding, filter } => {
-                RoutedBatch::Global(filter, embedding.embed_queries(queries, distance))
-            }
-            FilterKind::QuerySensitive { model } => {
-                RoutedBatch::QuerySensitive(model.embed_queries(queries, distance))
-            }
-        };
-        let coords_row = |q: usize| match &embedded {
-            RoutedBatch::Global(_, coords) => coords.row(q),
-            RoutedBatch::QuerySensitive(batch) => batch.coordinates.row(q),
-        };
-        let weights_row = |q: usize| match &embedded {
-            RoutedBatch::Global(filter, _) => filter.weights(),
-            RoutedBatch::QuerySensitive(batch) => batch.weights.row(q),
-        };
+        // Batch-embed into flat storage, exactly like the flat pipeline.
+        let embedded = self.kind.embed_batch(queries, distance);
+        let query_rows = |q: usize| embedded.rows(q..q + 1);
 
         // Route every query (independent per query, deterministic).
         let visited: Vec<Vec<usize>> = (0..queries.len())
             .into_par_iter()
-            .map(|q| self.route(weights_row(q), coords_row(q), k))
+            .map(|q| {
+                let (coords, weights) = query_rows(q);
+                self.route(coords, weights, k)
+            })
             .collect();
 
         // Group the batch by cell; remember each query's row within every
@@ -610,8 +565,8 @@ impl<O: Clone + Send + Sync, E: FilterElem> RoutedIndex<O, E> {
         }
 
         // Each visited cell scores its whole query group in one
-        // sequential Q×N tile; cells run in parallel.
-        let dim = self.dim();
+        // sequential scan over gathered coordinate and weight rows; cells
+        // run in parallel.
         let cell_scores: Vec<Vec<f64>> = groups
             .par_iter()
             .enumerate()
@@ -620,37 +575,18 @@ impl<O: Clone + Send + Sync, E: FilterElem> RoutedIndex<O, E> {
                     return Vec::new();
                 }
                 let store = &self.cells[cell];
-                let gathered = FlatVectors::from_rows_with_dim(
-                    dim,
-                    group.iter().map(|&q| coords_row(q).to_vec()).collect(),
-                );
+                let coords: Vec<f64> = group
+                    .iter()
+                    .flat_map(|&q| query_rows(q).0)
+                    .copied()
+                    .collect();
+                let weights: Vec<f64> = group
+                    .iter()
+                    .flat_map(|&q| query_rows(q).1)
+                    .copied()
+                    .collect();
                 let mut out = vec![0.0; group.len() * store.len()];
-                match &embedded {
-                    RoutedBatch::Global(filter, _) => {
-                        weighted_l1_filter_batch_range(
-                            filter.weights(),
-                            &gathered,
-                            0,
-                            group.len(),
-                            store,
-                            &mut out,
-                        );
-                    }
-                    RoutedBatch::QuerySensitive(_) => {
-                        let wrows = FlatVectors::from_rows_with_dim(
-                            dim,
-                            group.iter().map(|&q| weights_row(q).to_vec()).collect(),
-                        );
-                        weighted_l1_filter_batch_per_query_range(
-                            &wrows,
-                            &gathered,
-                            0,
-                            group.len(),
-                            store,
-                            &mut out,
-                        );
-                    }
-                }
+                store.scan(&coords, &weights, &mut out);
                 out
             })
             .collect();

@@ -517,8 +517,6 @@ impl QseApi {
     /// dynamic) and store precision (`f64`/`f32`/`u8`) by attempting
     /// each typed loader — the header check rejects wrong shapes
     /// cheaply, so only the matching decoder runs.
-    /// (`load_snapshot_bytes`, `load_snapshot` and `load_snapshot_mmap`
-    /// survive as thin wrappers over this.)
     ///
     /// # Errors
     /// [`ServeError::Snapshot`] on corrupt or unknown bytes (plus
@@ -536,22 +534,6 @@ impl QseApi {
             }
             SnapshotSource::Mmap(path) => Self::sniff_mapped(path, database, distance),
         }
-    }
-
-    /// [`Self::load`] from [`SnapshotSource::Bytes`] — the historical
-    /// name, kept as a thin wrapper.
-    ///
-    /// # Errors
-    /// As [`Self::load`].
-    pub fn load_snapshot_bytes(
-        bytes: &[u8],
-        database: Option<Vec<Vec<f64>>>,
-        distance: Box<dyn DistanceMeasure<Vec<f64>>>,
-    ) -> Result<Self, ServeError> {
-        Self::load(
-            SnapshotSource::Bytes(bytes),
-            LoadOptions { database, distance },
-        )
     }
 
     fn sniff_bytes(
@@ -594,38 +576,6 @@ impl QseApi {
         }
     }
 
-    /// [`Self::load`] from [`SnapshotSource::File`] — the historical
-    /// name, kept as a thin wrapper.
-    ///
-    /// # Errors
-    /// As [`Self::load`].
-    pub fn load_snapshot(
-        path: impl AsRef<Path>,
-        database: Option<Vec<Vec<f64>>>,
-        distance: Box<dyn DistanceMeasure<Vec<f64>>>,
-    ) -> Result<Self, ServeError> {
-        Self::load(
-            SnapshotSource::File(path.as_ref()),
-            LoadOptions { database, distance },
-        )
-    }
-
-    /// [`Self::load`] from [`SnapshotSource::Mmap`] — the historical
-    /// name, kept as a thin wrapper.
-    ///
-    /// # Errors
-    /// As [`Self::load`].
-    pub fn load_snapshot_mmap(
-        path: impl AsRef<Path>,
-        database: Option<Vec<Vec<f64>>>,
-        distance: Box<dyn DistanceMeasure<Vec<f64>>>,
-    ) -> Result<Self, ServeError> {
-        Self::load(
-            SnapshotSource::Mmap(path.as_ref()),
-            LoadOptions { database, distance },
-        )
-    }
-
     fn sniff_mapped(
         path: &Path,
         database: Option<Vec<Vec<f64>>>,
@@ -633,7 +583,11 @@ impl QseApi {
     ) -> Result<Self, ServeError> {
         let region = match MapRegion::map_path(path) {
             Ok(region) => region,
-            Err(_) => return Self::load_snapshot(path, database, distance),
+            // Unmappable (e.g. an unsupported target): read it instead.
+            Err(_) => {
+                let options = LoadOptions { database, distance };
+                return Self::load(SnapshotSource::File(path), options);
+            }
         };
         fn need(db: Option<Vec<Vec<f64>>>) -> Result<Vec<Vec<f64>>, ServeError> {
             db.ok_or(ServeError::DatabaseRequired)

@@ -222,12 +222,13 @@ fn main() {
         [snapshot] => {
             let (database, queries) = ci_workload();
             let start = Instant::now();
-            let api =
-                QseApi::load_snapshot(snapshot, Some(database.clone()), Box::new(LpDistance::l2()))
-                    .unwrap_or_else(|e| {
-                        eprintln!("failed to load snapshot {snapshot}: {e}");
-                        std::process::exit(1);
-                    });
+            let options =
+                LoadOptions::new(Box::new(LpDistance::l2())).with_database(database.clone());
+            let api = QseApi::load(SnapshotSource::File(snapshot.as_ref()), options)
+                .unwrap_or_else(|e| {
+                    eprintln!("failed to load snapshot {snapshot}: {e}");
+                    std::process::exit(1);
+                });
             println!(
                 "loaded {} snapshot ({} rows, dim {}) into the serving facade in {:.2?}",
                 api.backend(),
@@ -253,12 +254,10 @@ fn main() {
             // Round-trip through snapshot bytes even locally — the point
             // is the deployment path, not the in-process object.
             let bytes = index.to_snapshot_bytes().expect("snapshot bytes");
-            let api = QseApi::load_snapshot_bytes(
-                &bytes,
-                Some(database.clone()),
-                Box::new(LpDistance::l2()),
-            )
-            .expect("facade from bytes");
+            let options =
+                LoadOptions::new(Box::new(LpDistance::l2())).with_database(database.clone());
+            let api =
+                QseApi::load(SnapshotSource::Bytes(&bytes), options).expect("facade from bytes");
             println!(
                 "built + byte-round-tripped a {} backend ({} rows, dim {})",
                 api.backend(),

@@ -79,8 +79,8 @@ pub mod prelude {
     };
     pub use qse_distance::{
         ConstrainedDtw, CountingDistance, DistanceMatrix, DistanceMeasure, FilterElem, FlatStore,
-        FlatVectors, LpDistance, PointSet, QuantParams, SadQuery, SadQueryBatch,
-        ShapeContextDistance, TimeSeries, WeightedL1,
+        FlatVectors, LpDistance, PointSet, QuantParams, SadQuery, ShapeContextDistance, TimeSeries,
+        WeightedL1,
     };
     pub use qse_embedding::{
         CompositeEmbedding, Embedding, FastMap, FastMapConfig, KMeans, KMeansConfig, OneDEmbedding,

@@ -12,13 +12,13 @@
 //! * embedding-prefix consistency,
 //! * filter-and-refine recall = 1 when `p = |database|`,
 //! * top-p selection ≡ full-sort prefix for every `p` (the filter hot path),
-//! * the blocked batch kernel `WeightedL1::eval_flat` ≡ row-by-row `eval`
-//!   **bit for bit** at random dimensionalities 1–67 (including widths that
-//!   are not multiples of the kernel's lane count),
-//! * the Q×N tiled kernel `WeightedL1::eval_flat_batch` ≡ per-query
-//!   `eval_flat` **bit for bit** across every dimensionality 1–67, batch
-//!   sizes straddling the tile width, empty/tiny/large stores, and worker
-//!   counts 1/2/8 (the tiling and the fan-out must both be invisible).
+//! * the filter scan `FlatStore::scan` on one query ≡ row-by-row
+//!   `WeightedL1::eval` **bit for bit** at random dimensionalities 1–67
+//!   (including widths that are not multiples of the kernel's lane count),
+//! * `FlatStore::scan` over a query batch ≡ one scan per query **bit for
+//!   bit** across every dimensionality 1–67, batch sizes straddling the
+//!   tile width, empty/tiny/large stores, and worker counts 1/2/8 (the
+//!   batch shape and the thread count must both be invisible).
 
 use query_sensitive_embeddings::core::model::{QseModel, TrainingHistory, WeakLearner};
 use query_sensitive_embeddings::core::Interval;
@@ -297,7 +297,7 @@ fn eval_flat_kernel_is_bit_identical_to_row_by_row_eval() {
         let d = WeightedL1::new(weights);
         let store = FlatVectors::from_rows_with_dim(dim, row_data);
         let mut out = vec![f64::NAN; store.len()];
-        d.eval_flat(&query, &store, &mut out);
+        store.scan(&query, d.weights(), &mut out);
         for (i, flat) in out.iter().enumerate() {
             let scalar = d.eval(&query, store.row(i));
             assert_eq!(
@@ -309,9 +309,9 @@ fn eval_flat_kernel_is_bit_identical_to_row_by_row_eval() {
     }
 }
 
-/// One batch-kernel identity check: `eval_flat_batch` over `qcount` queries
-/// and `rows` database rows at dimensionality `dim` must reproduce the
-/// per-query `eval_flat` scan bit for bit.
+/// One batch-scan identity check: `scan` over `qcount` queries and `rows`
+/// database rows at dimensionality `dim` must reproduce the one-query scan
+/// bit for bit.
 fn assert_batch_kernel_identity(rng: &mut StdRng, dim: usize, qcount: usize, rows: usize) {
     let weights: Vec<f64> = (0..dim)
         .map(|_| {
@@ -336,10 +336,10 @@ fn assert_batch_kernel_identity(rng: &mut StdRng, dim: usize, qcount: usize, row
             .collect(),
     );
     let mut batch = vec![f64::NAN; qcount * rows];
-    d.eval_flat_batch(&queries, &store, &mut batch);
+    store.scan(queries.as_slice(), d.weights(), &mut batch);
     let mut single = vec![f64::NAN; rows];
     for q in 0..qcount {
-        d.eval_flat(queries.row(q), &store, &mut single);
+        store.scan(queries.row(q), d.weights(), &mut single);
         for (i, score) in single.iter().enumerate() {
             assert_eq!(
                 batch[q * rows + i].to_bits(),
@@ -352,11 +352,11 @@ fn assert_batch_kernel_identity(rng: &mut StdRng, dim: usize, qcount: usize, row
 
 #[test]
 fn eval_flat_batch_is_bit_identical_to_per_query_eval_flat() {
-    // The tiled Q×N kernel must be invisible: for every dimensionality 1–67
+    // The batch shape must be invisible: for every dimensionality 1–67
     // (covering every lane remainder), batch sizes {0, 1, 2, 7, 64, 257}
     // (empty, sub-tile, tile-straddling, many-tile), database sizes
     // {0, 1, 1000} and worker counts {1, 2, 8}, each batch row equals the
-    // per-query kernel — and therefore the scalar path — bit for bit.
+    // one-query scan — and therefore the scalar path — bit for bit.
     //
     // The full cross product would be needlessly slow in debug builds, so
     // every dimensionality is crossed with the small/empty shapes, while the

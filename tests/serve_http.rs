@@ -56,8 +56,8 @@ fn snapshot_loaded_server() -> (QseServer, Vec<Vec<f64>>) {
         },
     );
     let bytes = index.to_snapshot_bytes().unwrap();
-    let api =
-        QseApi::load_snapshot_bytes(&bytes, Some(db.clone()), Box::new(LpDistance::l2())).unwrap();
+    let options = LoadOptions::new(Box::new(LpDistance::l2())).with_database(db.clone());
+    let api = QseApi::load(SnapshotSource::Bytes(&bytes), options).unwrap();
     assert_eq!(api.backend(), "routed");
     let server = QseServer::start(
         api,
@@ -311,22 +311,31 @@ fn snapshot_facade_rejects_wrong_setups() {
 
     // A static snapshot without its database cannot serve.
     assert!(matches!(
-        QseApi::load_snapshot_bytes(&bytes, None, Box::new(LpDistance::l2())),
+        QseApi::load(
+            SnapshotSource::Bytes(&bytes),
+            LoadOptions::new(Box::new(LpDistance::l2()))
+        ),
         Err(ServeError::DatabaseRequired)
     ));
     // Corrupt bytes surface the snapshot error, typed.
     assert!(matches!(
-        QseApi::load_snapshot_bytes(&bytes[..10], Some(db.clone()), Box::new(LpDistance::l2())),
+        QseApi::load(
+            SnapshotSource::Bytes(&bytes[..10]),
+            LoadOptions::new(Box::new(LpDistance::l2())).with_database(db.clone())
+        ),
         Err(ServeError::Snapshot(_))
     ));
     // A database of the wrong length is refused at construction.
     assert!(matches!(
-        QseApi::load_snapshot_bytes(&bytes, Some(db[..50].to_vec()), Box::new(LpDistance::l2())),
+        QseApi::load(
+            SnapshotSource::Bytes(&bytes),
+            LoadOptions::new(Box::new(LpDistance::l2())).with_database(db[..50].to_vec())
+        ),
         Err(ServeError::BadDatabase(_))
     ));
     // The right setup loads and serves.
-    let api =
-        QseApi::load_snapshot_bytes(&bytes, Some(db.clone()), Box::new(LpDistance::l2())).unwrap();
+    let options = LoadOptions::new(Box::new(LpDistance::l2())).with_database(db.clone());
+    let api = QseApi::load(SnapshotSource::Bytes(&bytes), options).unwrap();
     assert_eq!(api.backend(), "static");
     assert_eq!(api.len(), 120);
     assert_eq!(api.dim(), 2);

@@ -26,6 +26,7 @@
 //! outside the fitted grid saturate (pinned as a real failure mode) and
 //! `DynamicIndex::refit_store` / `retrain` recover in place.
 
+use query_sensitive_embeddings::distance::vector::weighted_l1_row;
 use query_sensitive_embeddings::prelude::*;
 use query_sensitive_embeddings::retrieval::knn::knn;
 use rand::rngs::StdRng;
@@ -159,7 +160,6 @@ fn u8_raw_filter_scores_respect_the_half_grid_step_bound() {
             .collect();
         let weights: Vec<f64> = (0..dim).map(|_| rng.gen_range(0.1..2.0)).collect();
         let query: Vec<f64> = (0..dim).map(|_| rng.gen_range(-15.0..15.0)).collect();
-        let d = WeightedL1::new(weights.clone());
         let exact = FlatVectors::from_rows_with_dim(dim, rows.clone());
         let quant = FlatStore::<u8>::from_rows_with_dim(dim, rows);
         let bound: f64 = weights
@@ -170,9 +170,11 @@ fn u8_raw_filter_scores_respect_the_half_grid_step_bound() {
             * (1.0 + 1e-9)
             + 1e-9;
         let mut s_exact = vec![0.0; exact.len()];
-        let mut s_quant = vec![0.0; quant.len()];
-        d.eval_flat(&query, &exact, &mut s_exact);
-        d.eval_flat(&query, &quant, &mut s_quant);
+        exact.scan(&query, &weights, &mut s_exact);
+        // The raw (decoded-row) scores of the u8 store.
+        let s_quant: Vec<f64> = (0..quant.len())
+            .map(|i| weighted_l1_row(&weights, &query, &quant.decode_row(i)))
+            .collect();
         for (i, (a, b)) in s_exact.iter().zip(&s_quant).enumerate() {
             assert!(
                 (a - b).abs() <= bound,
@@ -191,13 +193,12 @@ fn f32_raw_filter_scores_stay_within_single_precision_rounding() {
         .collect();
     let weights: Vec<f64> = (0..dim).map(|_| rng.gen_range(0.1..2.0)).collect();
     let query: Vec<f64> = (0..dim).map(|_| rng.gen_range(-50.0..50.0)).collect();
-    let d = WeightedL1::new(weights.clone());
     let exact = FlatVectors::from_rows_with_dim(dim, rows.clone());
     let single = FlatStore::<f32>::from_rows_with_dim(dim, rows.clone());
     let mut s_exact = vec![0.0; exact.len()];
     let mut s_single = vec![0.0; single.len()];
-    d.eval_flat(&query, &exact, &mut s_exact);
-    d.eval_flat(&query, &single, &mut s_single);
+    exact.scan(&query, &weights, &mut s_exact);
+    single.scan(&query, &weights, &mut s_single);
     for (i, (a, b)) in s_exact.iter().zip(&s_single).enumerate() {
         // Per-coordinate f32 rounding is at most |v| · 2⁻²⁴; doubling the
         // exponent covers the summation's own rounding comfortably.
@@ -364,7 +365,6 @@ fn u8_integer_filter_scores_respect_the_widened_two_sided_bound() {
             .collect();
         let weights: Vec<f64> = (0..dim).map(|_| rng.gen_range(0.1..2.0)).collect();
         let query: Vec<f64> = (0..dim).map(|_| rng.gen_range(-15.0..15.0)).collect();
-        let d = WeightedL1::new(weights.clone());
         let exact = FlatVectors::from_rows_with_dim(dim, rows.clone());
         let quant = FlatStore::<u8>::from_rows_with_dim(dim, rows);
         let store_bound: f64 = weights
@@ -376,8 +376,8 @@ fn u8_integer_filter_scores_respect_the_widened_two_sided_bound() {
         let bound = (store_bound + query_bound) * (1.0 + 1e-9) + 1e-9;
         let mut s_exact = vec![0.0; exact.len()];
         let mut s_int = vec![0.0; quant.len()];
-        d.eval_flat(&query, &exact, &mut s_exact);
-        d.eval_filter(&query, &quant, &mut s_int);
+        exact.scan(&query, &weights, &mut s_exact);
+        quant.scan(&query, &weights, &mut s_int);
         for (i, (a, b)) in s_exact.iter().zip(&s_int).enumerate() {
             assert!(
                 (a - b).abs() <= bound,
