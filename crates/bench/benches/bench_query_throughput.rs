@@ -5,7 +5,9 @@
 //!
 //! * `filter_kernel/*` — a one-query `FlatStore::scan` (the blocked
 //!   decode tile) against the row-by-row scalar `eval` loop over the same
-//!   flat store;
+//!   flat store; and the filter step's top-p selection (`TopP`, p = 200
+//!   over 4k / 37.7k / 100k tied scores) against the indirect-comparator
+//!   `select_nth_unstable_by` over an index permutation that it replaced;
 //! * `batch_kernel/*` — a 256-query batch scanned in
 //!   `QUERY_TILE`-query `FlatStore::scan` tiles (database rows amortized
 //!   across a tile of query rows) against the one-query-per-scan loop it
@@ -67,7 +69,7 @@ use qse_core::{BoostMapTrainer, TrainerConfig, TrainingData, TripleSampler};
 use qse_distance::traits::{FnDistance, MetricProperties};
 use qse_distance::vector::QUERY_TILE;
 use qse_distance::{FilterElem, FlatStore, FlatVectors, WeightedL1};
-use qse_retrieval::FilterRefineIndex;
+use qse_retrieval::{FilterRefineIndex, TopP};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
@@ -268,6 +270,44 @@ fn bench_filter_kernel(c: &mut Criterion) {
         );
         group.finish();
     }
+}
+
+/// Top-p selection over one query's filter scores: the single-pass packed
+/// `TopP` the filter step runs against the indirect selection it replaced
+/// (`select_nth_unstable_by` over an index permutation with a `total_cmp`
+/// comparator, then a sort of the best p). Both return the same ids — the
+/// workspace tests pin `TopP` to a full sort — so this measures selection
+/// cost alone. Scores sit on a coarse grid, as quantized filter scores do,
+/// so ties are common. The row counts are a small index, a routed
+/// `gauss-serve` query's visited rows and a 100k-row flat scan.
+fn bench_select(c: &mut Criterion) {
+    const P: usize = 200;
+    let mut rng = StdRng::seed_from_u64(13);
+    let mut group = c.benchmark_group("filter_kernel");
+    for &n in &[4_000usize, 37_700, 100_000] {
+        let scores: Vec<f64> = (0..n)
+            .map(|_| f64::from(rng.gen_range(0u32..4096)) * 0.25)
+            .collect();
+        let mut top = TopP::new(P);
+        group.bench_with_input(BenchmarkId::new("select", n), &n, |b, _| {
+            b.iter(|| {
+                top.push(black_box(&scores), 0..n);
+                black_box(top.finish())
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("select_indirect", n), &n, |b, _| {
+            b.iter(|| {
+                let scores = black_box(&scores);
+                let cmp = |a: &usize, b: &usize| scores[*a].total_cmp(&scores[*b]).then(a.cmp(b));
+                let mut order: Vec<usize> = (0..n).collect();
+                order.select_nth_unstable_by(P - 1, cmp);
+                order.truncate(P);
+                order.sort_unstable_by(cmp);
+                black_box(order)
+            })
+        });
+    }
+    group.finish();
 }
 
 /// Score every query row of `queries` against `store` the way the batched
@@ -661,6 +701,6 @@ fn bench_fanout_substrate(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_query_throughput, bench_filter_kernel, bench_batch_kernel, bench_store_backends, bench_routed, bench_startup, bench_fanout_substrate
+    targets = bench_query_throughput, bench_filter_kernel, bench_select, bench_batch_kernel, bench_store_backends, bench_routed, bench_startup, bench_fanout_substrate
 );
 criterion_main!(benches);

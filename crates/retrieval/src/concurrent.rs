@@ -37,8 +37,8 @@
 //! (shared encode grid; compaction copies stored elements verbatim,
 //! never re-encoding), the id map replicates `DynamicIndex`'s
 //! append/swap-remove id discipline, scores are gathered into global-id
-//! order before the shared `top_p_by_score` selection (strict
-//! `(score, index)` total order), and the refine step is the same exact
+//! order before the shared [`TopP`](crate::filter_refine::TopP) selection
+//! (strict `(score, index)` total order), and the refine step is the same exact
 //! k-NN over the same candidate set. `tests/concurrent_index.rs` pins
 //! this the way `parallel_equivalence` pins the batched pipeline.
 //!
@@ -49,7 +49,7 @@
 use crate::dynamic::DynamicIndex;
 use crate::error::{check_p_scale, check_query_params, QueryError};
 use crate::filter_refine::{
-    effective_p, refine_ranked, tiled_query_pipeline, top_p_by_score, FilterElem, FlatStore,
+    effective_p, refine_ranked, tiled_query_pipeline, top_p, FilterElem, FlatStore,
 };
 use qse_core::QseModel;
 use qse_distance::DistanceMeasure;
@@ -713,7 +713,7 @@ impl<O: Clone + Send + Sync, E: FilterElem> Snapshot<O, E> {
         self.gather_scores(&mut scores, |s, buf| {
             eq.score_filter(&self.segments[s].store, buf)
         });
-        let order = top_p_by_score(&scores, effective_p(p, self.p_scale, n));
+        let order = top_p(&scores, effective_p(p, self.p_scale, n));
         Ok(self.refine(query, distance, k, &order))
     }
 

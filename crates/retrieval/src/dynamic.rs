@@ -11,9 +11,9 @@
 
 use crate::error::{check_query_params, QueryError};
 use crate::filter_refine::{
-    refine_ranked, tiled_query_pipeline, top_p_by_score, FilterElem, FlatStore,
+    refine_ranked, tiled_query_pipeline, top_p, FilterElem, FlatStore, TopP,
 };
-use crate::routed::{probe_prefix, top_ids_by_score, RoutedConfig};
+use crate::routed::{probe_prefix, RoutedConfig};
 use qse_core::{QseModel, TripleSampler};
 use qse_distance::{DistanceMatrix, DistanceMeasure};
 use qse_embedding::{CompositeEmbedding, Embedding, KMeans, KMeansConfig};
@@ -456,19 +456,16 @@ impl<O: Clone + Send + Sync, E: FilterElem> DynamicIndex<O, E> {
             // pool holds fewer than k rows: online removes can empty a
             // cell, and a query routed only into emptied cells must not
             // starve the refine step (see `routed::probe_prefix`).
-            let ranked = top_p_by_score(&cell_scores, c);
+            let ranked = top_p(&cell_scores, 0);
             let visited = probe_prefix(&ranked, &r.cells, n_probe, k);
-            let pool: usize = visited.iter().map(|&v| r.cells[v].len()).sum();
-            let mut scores = Vec::with_capacity(pool);
-            let mut gids = Vec::with_capacity(pool);
+            let mut top = TopP::new(self.effective_p(p));
+            let mut scores = Vec::new();
             for &v in &visited {
-                let start = scores.len();
-                scores.resize(start + r.cells[v].len(), 0.0);
-                eq.score_filter(&r.cells[v], &mut scores[start..]);
-                gids.extend_from_slice(&r.ids[v]);
+                scores.resize(r.cells[v].len(), 0.0);
+                eq.score_filter(&r.cells[v], &mut scores);
+                top.push(&scores, r.ids[v].iter().copied());
             }
-            let keep = self.effective_p(p).min(pool);
-            let order = top_ids_by_score(&scores, &gids, keep);
+            let order = top.finish();
             return Ok(self.refine(query, distance, k, &order));
         }
         // Filter step: one `FlatStore::scan` over the flat storage (the
@@ -478,7 +475,7 @@ impl<O: Clone + Send + Sync, E: FilterElem> DynamicIndex<O, E> {
         // hot path.
         let mut scores = vec![0.0; self.vectors.len()];
         eq.score_filter(&self.vectors, &mut scores);
-        let order = top_p_by_score(&scores, self.effective_p(p));
+        let order = top_p(&scores, self.effective_p(p));
         Ok(self.refine(query, distance, k, &order))
     }
 

@@ -39,8 +39,9 @@
 //!   bit-identical to the row-by-row scalar path; on `u8` it runs the
 //!   integer weighted-SAD tile (see *Filter-store precision* below);
 //! * [`FilterRefineIndex::retrieve`] keeps the best `p` candidates with
-//!   `select_nth_unstable_by` — an O(n) selection — and only sorts those
-//!   `p`, instead of sorting the whole database (O(n log n));
+//!   [`TopP`], a single pass over packed `(score key, id)` pairs behind a
+//!   running threshold — O(n), with no indirect comparator — and only
+//!   sorts those `p`, instead of sorting the whole database (O(n log n));
 //! * [`FilterRefineIndex::retrieve_batch`] runs the batched pipeline:
 //!   batch-embed every query into flat storage (`embed_queries`), cut the
 //!   batch into query tiles fanned out across the persistent rayon worker
@@ -194,15 +195,116 @@ impl FilterBatch {
 
 /// Indices of the `p` smallest scores, in increasing order under the strict
 /// total order `(score, index)` — exactly the first `p` entries of a full
-/// `(score, index)` sort, computed with O(n) selection + O(p log p) sort.
-/// `p >= scores.len()` degrades to the full sorted ranking.
+/// `(score, index)` sort. `p == 0` and `p >= scores.len()` return the full
+/// sorted ranking.
 ///
-/// Shared by the static index, the dynamic index and the evaluation harness
-/// so every filter path is *provably* the same selection.
-pub(crate) fn top_p_by_score(scores: &[f64], p: usize) -> Vec<usize> {
-    let mut order = Vec::new();
-    top_p_by_score_into(scores, p, &mut order);
-    order
+/// Shared by the static index, the dynamic and concurrent indexes, the
+/// router and the evaluation harness, so every filter path is *provably*
+/// the same selection ([`TopP`] over ids `0..n`).
+pub(crate) fn top_p(scores: &[f64], p: usize) -> Vec<usize> {
+    let mut top = TopP::new(p);
+    top.push(scores, 0..scores.len());
+    top.finish()
+}
+
+/// Single-pass top-p selection under the strict total order
+/// `(score, id)`, the selection of every filter path.
+///
+/// Each candidate is packed into one `u128`: the high word is a `u64` key
+/// whose unsigned order equals [`f64::total_cmp`] (so NaN-safe, with
+/// `-0.0 < +0.0`), the low word is the id. Unsigned `u128` order is then
+/// exactly `(score, id)`, and selection needs no indirect comparator.
+/// Candidates stream through [`Self::push`] behind a running threshold —
+/// the `p`-th best packed value seen so far — so most rows cost one key
+/// computation and one compare. Survivors collect in a buffer of `4p`
+/// pairs; when it fills, `select_nth_unstable` compacts it back to the best
+/// `p` and tightens the threshold. [`Self::finish`] sorts the final `p`.
+///
+/// The result depends only on the *set* of `(score, id)` pairs offered, not
+/// on the order they arrive in — which is what lets the routed paths feed
+/// each visited cell's scores and ids straight in and still match the full
+/// scan's selection bit for bit. Ids must be distinct within one selection.
+#[derive(Debug, Clone, Default)]
+pub struct TopP {
+    /// Candidates kept (`0`: keep every candidate).
+    p: usize,
+    /// Buffer length that triggers a compaction: `4p`, or never for `p == 0`.
+    cap: usize,
+    /// Largest packed value that can still enter the best `p`.
+    threshold: u128,
+    buf: Vec<u128>,
+}
+
+impl TopP {
+    /// An empty selection of the best `p` candidates (`p == 0`: all of
+    /// them, fully ranked).
+    pub fn new(p: usize) -> Self {
+        let mut top = Self::default();
+        top.reset(p);
+        top
+    }
+
+    /// Start a new selection of the best `p`, keeping the buffer's
+    /// allocation.
+    pub fn reset(&mut self, p: usize) {
+        self.p = p;
+        self.cap = if p == 0 {
+            usize::MAX
+        } else {
+            p.saturating_mul(4)
+        };
+        self.threshold = u128::MAX;
+        self.buf.clear();
+    }
+
+    /// Offer candidates: `scores[i]` is the score of the `i`-th id `ids`
+    /// yields.
+    #[inline]
+    pub fn push(&mut self, scores: &[f64], ids: impl IntoIterator<Item = usize>) {
+        for (&score, id) in scores.iter().zip(ids) {
+            let packed = (u128::from(total_order_key(score)) << 64) | id as u128;
+            if packed <= self.threshold {
+                self.buf.push(packed);
+                if self.buf.len() >= self.cap {
+                    self.compact();
+                }
+            }
+        }
+    }
+
+    /// The ids of the best `p` candidates offered since the last reset,
+    /// best first (all of them when fewer than `p` were offered or
+    /// `p == 0`). The selection is left empty, ready for the next
+    /// candidates under the same `p`.
+    pub fn finish(&mut self) -> Vec<usize> {
+        if self.buf.len() > self.p && self.p > 0 {
+            self.compact();
+        }
+        self.buf.sort_unstable();
+        let ids = self
+            .buf
+            .iter()
+            .map(|&packed| packed as u64 as usize)
+            .collect();
+        self.reset(self.p);
+        ids
+    }
+
+    /// Keep only the best `p` buffered candidates; the worst of them
+    /// becomes the threshold.
+    fn compact(&mut self) {
+        let (_, &mut worst, _) = self.buf.select_nth_unstable(self.p - 1);
+        self.buf.truncate(self.p);
+        self.threshold = worst;
+    }
+}
+
+/// A `u64` whose unsigned order equals [`f64::total_cmp`]: flip every bit
+/// of a negative float, only the sign bit of a non-negative one.
+#[inline]
+fn total_order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63))
 }
 
 /// The shared per-tile driver of every batched retrieval pipeline
@@ -212,8 +314,8 @@ pub(crate) fn top_p_by_score(scores: &[f64], p: usize) -> Vec<usize> {
 /// across the persistent worker pool; for each tile, `score_tile(q0, q1,
 /// scores)` fills a tile-local `(q1 − q0) · n` score buffer (row-major, one
 /// row per query of the tile), then for every query `q` of the tile the
-/// driver selects the best `p` indices — [`top_p_by_score_into`] with one
-/// index buffer reused across the tile — and hands `finish` the query
+/// driver selects the best `p` indices — one [`TopP`] whose buffer is
+/// reused across the tile — and hands `finish` the query
 /// index, its score row and the selection. Results come back in query
 /// order.
 ///
@@ -262,8 +364,8 @@ where
             let q1 = (q0 + QUERY_TILE).min(count);
             let mut scores = vec![0.0; (q1 - q0) * n];
             score_tile(q0, q1, &mut scores);
-            // One index buffer serves every query of the tile.
-            let mut order = Vec::new();
+            // One selection buffer serves every query of the tile.
+            let mut top = TopP::new(p);
             let mut results: Vec<T> = Vec::with_capacity(q1 - q0);
             for q in q0..q1 {
                 if let Some(r) = (q0..q).find(|&r| same_query(r, q)) {
@@ -274,8 +376,8 @@ where
                     continue;
                 }
                 let row = &scores[(q - q0) * n..(q - q0 + 1) * n];
-                top_p_by_score_into(row, p, &mut order);
-                results.push(finish(q, row, &order));
+                top.push(row, 0..n);
+                results.push(finish(q, row, &top.finish()));
             }
             results
         })
@@ -341,23 +443,6 @@ pub(crate) fn refine_ranked<'a, O: 'a>(
     .into_iter()
     .map(|(rank, _)| order[rank])
     .collect()
-}
-
-/// [`top_p_by_score`] writing into a caller-owned index buffer, so the
-/// batched pipelines can reuse one allocation across every query of a tile
-/// (`order` is cleared and refilled; its capacity is what's recycled).
-pub(crate) fn top_p_by_score_into(scores: &[f64], p: usize, order: &mut Vec<usize>) {
-    let by_score_then_index =
-        |a: &usize, b: &usize| scores[*a].total_cmp(&scores[*b]).then(a.cmp(b));
-    order.clear();
-    order.extend(0..scores.len());
-    if p >= 1 && p < order.len() {
-        // O(n): after this, positions 0..p hold the p smallest under the
-        // strict total order (score, index).
-        order.select_nth_unstable_by(p - 1, by_score_then_index);
-        order.truncate(p);
-    }
-    order.sort_unstable_by(by_score_then_index);
 }
 
 /// A database indexed for filter-and-refine retrieval under one embedding.
@@ -627,15 +712,14 @@ impl<O: Clone + Send + Sync, E: FilterElem> FilterRefineIndex<O, E> {
         distance: &dyn DistanceMeasure<O>,
     ) -> (Vec<usize>, usize) {
         let (scores, cost) = self.filter_scores(query, distance);
-        let order = top_p_by_score(&scores, scores.len());
-        (order, cost)
+        (top_p(&scores, 0), cost)
     }
 
     /// The best `p` filter candidates for `query`, in increasing filter
     /// distance, plus the embedding-step cost.
     ///
-    /// Runs in O(n) selection + O(p log p) sort instead of the O(n log n)
-    /// full sort, and returns exactly the first `p` entries
+    /// Runs in one O(n) [`TopP`] pass + O(p log p) sort instead of the
+    /// O(n log n) full sort, and returns exactly the first `p` entries
     /// [`Self::filter_ranking`] would produce (ties broken by index).
     ///
     /// # Panics
@@ -653,7 +737,7 @@ impl<O: Clone + Send + Sync, E: FilterElem> FilterRefineIndex<O, E> {
             self.vectors.len()
         );
         let (scores, cost) = self.filter_scores(query, distance);
-        (top_p_by_score(&scores, p), cost)
+        (top_p(&scores, p), cost)
     }
 
     /// Full filter-and-refine retrieval of the `k` (approximate) nearest
@@ -827,7 +911,8 @@ mod tests {
     use qse_distance::CountingDistance;
     use qse_embedding::{FastMap, FastMapConfig};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
 
     fn euclid() -> FnDistance<impl Fn(&Vec<f64>, &Vec<f64>) -> f64 + Send + Sync> {
         FnDistance::new(
@@ -948,6 +1033,91 @@ mod tests {
         let mut sorted = ranking.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..db.len()).collect::<Vec<_>>());
+    }
+
+    /// The `TopP` reference: a plain full sort of the `(score, id)` pairs
+    /// by `(total_cmp, id)`, then the first `p` ids (all for `p == 0`).
+    fn reference_top_p(scores: &[f64], ids: &[usize], p: usize) -> Vec<usize> {
+        let mut pairs: Vec<(f64, usize)> =
+            scores.iter().copied().zip(ids.iter().copied()).collect();
+        pairs.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let take = if p == 0 {
+            pairs.len()
+        } else {
+            p.min(pairs.len())
+        };
+        pairs[..take].iter().map(|&(_, id)| id).collect()
+    }
+
+    /// Scores with heavy ties, both zeros, both infinities and NaNs of
+    /// both signs.
+    fn adversarial_scores(n: usize, rng: &mut StdRng) -> Vec<f64> {
+        let specials = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        (0..n)
+            .map(|_| match rng.gen_range(0..4) {
+                0 => specials[rng.gen_range(0..specials.len())],
+                1 => rng.gen_range(0..4) as f64,
+                _ => rng.gen_range(-100.0..100.0),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn top_p_matches_an_independent_full_sort() {
+        let mut rng = StdRng::seed_from_u64(0x7095);
+        let bases = [0usize, 1, 2, 7, 200];
+        // Sizes on both sides of every buffer-compaction point (4p).
+        let mut sizes = vec![0usize, 1, 10_000];
+        for &p in &bases[1..] {
+            sizes.extend([4 * p - 1, 4 * p, 4 * p + 1]);
+        }
+        let mut top = TopP::default();
+        for &n in &sizes {
+            let mut ps = bases.to_vec();
+            ps.extend([n.saturating_sub(1), n, n + 3]);
+            for p in ps {
+                let mut scores = adversarial_scores(n, &mut rng);
+                let index_ids: Vec<usize> = (0..n).collect();
+                assert_eq!(
+                    top_p(&scores, p),
+                    reference_top_p(&scores, &index_ids, p),
+                    "n = {n}, p = {p}"
+                );
+
+                // The routed form: shuffled sparse ids, fed in uneven
+                // chunks through one reused selection.
+                let mut ids: Vec<usize> = (0..n).map(|i| 3 * i + 1).collect();
+                ids.shuffle(&mut rng);
+                top.reset(p);
+                let mut start = 0;
+                while start < n {
+                    let end = (start + rng.gen_range(1..=600)).min(n);
+                    top.push(&scores[start..end], ids[start..end].iter().copied());
+                    start = end;
+                }
+                assert_eq!(
+                    top.finish(),
+                    reference_top_p(&scores, &ids, p),
+                    "routed n = {n}, p = {p}"
+                );
+
+                // Worst case for the threshold: scores arriving best last,
+                // so every candidate enters the buffer.
+                scores.sort_by(|a, b| b.total_cmp(a));
+                assert_eq!(
+                    top_p(&scores, p),
+                    reference_top_p(&scores, &index_ids, p),
+                    "descending n = {n}, p = {p}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! distance to [`DistanceMeasure::distance_within`], so an expensive
 //! measure can abandon candidates that cannot make the top k.
 
-use crate::filter_refine::top_p_by_score;
+use crate::filter_refine::top_p;
 use qse_distance::{DistanceMeasure, FilterElem, FlatStore, FlatVectors, WeightedL1};
 use rayon::prelude::*;
 use std::cmp::Ordering;
@@ -152,7 +152,7 @@ pub fn knn_flat<E: FilterElem>(
     );
     let mut scores = vec![0.0; vectors.len()];
     vectors.scan(query, distance.weights(), &mut scores);
-    let neighbors = top_p_by_score(&scores, k);
+    let neighbors = top_p(&scores, k);
     let distances = neighbors.iter().map(|&i| scores[i]).collect();
     KnnResult {
         neighbors,

@@ -57,7 +57,9 @@ pub use concurrent::{ConcurrentIndex, ReadHandle, Snapshot, WriteHandle};
 pub use dynamic::DynamicIndex;
 pub use error::QueryError;
 pub use evaluate::{CostReport, CostRow, MethodEvaluation};
-pub use filter_refine::{FilterElem, FilterRefineIndex, FlatStore, FlatVectors, RetrievalOutcome};
+pub use filter_refine::{
+    FilterElem, FilterRefineIndex, FlatStore, FlatVectors, RetrievalOutcome, TopP,
+};
 pub use knn::{ground_truth, knn_flat, knn_flat_batch, KnnResult};
 pub use routed::{recall_vs_n_probe, RoutedConfig, RoutedIndex};
 pub use snapshot::{snapshot_sections, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};

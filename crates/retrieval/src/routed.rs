@@ -44,14 +44,15 @@
 //! one sequential [`FlatStore::scan`], so a hot cell block serves a dense
 //! tile of query rows
 //! instead of one query at a time, and cells fan out across the
-//! persistent worker pool. Scores are then regrouped per query for
-//! selection and refine. (Unlike the flat pipeline's
+//! persistent worker pool. Each query's score rows then stream straight
+//! from the cells into its [`TopP`] selection under their global ids,
+//! and on to the refine step. (Unlike the flat pipeline's
 //! `tiled_query_pipeline`, there is no duplicate-query memo — grouping
 //! is by cell, not by tile.)
 
 use crate::error::{check_query_params, QueryError};
 use crate::filter_refine::{
-    effective_p, refine_candidates, top_p_by_score, FilterKind, RetrievalOutcome,
+    effective_p, refine_candidates, top_p, FilterKind, RetrievalOutcome, TopP,
 };
 use qse_core::QseModel;
 use qse_distance::vector::weighted_l1_row;
@@ -139,27 +140,6 @@ pub struct RoutedIndex<O, E: FilterElem = f64> {
     pub(crate) n_probe: usize,
     pub(crate) p_scale: f64,
     pub(crate) len: usize,
-}
-
-/// Global ids of the `p` smallest scores under the strict total order
-/// `(score, id)` — the routed counterpart of `top_p_by_score`, which
-/// makes the selection over a candidate pool gathered from several cells
-/// identical to the full scan's selection whenever the pool is the whole
-/// database.
-pub(crate) fn top_ids_by_score(scores: &[f64], gids: &[usize], p: usize) -> Vec<usize> {
-    debug_assert_eq!(scores.len(), gids.len());
-    let cmp = |a: &usize, b: &usize| {
-        scores[*a]
-            .total_cmp(&scores[*b])
-            .then(gids[*a].cmp(&gids[*b]))
-    };
-    let mut order: Vec<usize> = (0..scores.len()).collect();
-    if p >= 1 && p < order.len() {
-        order.select_nth_unstable_by(p - 1, cmp);
-        order.truncate(p);
-    }
-    order.sort_unstable_by(cmp);
-    order.into_iter().map(|i| gids[i]).collect()
 }
 
 /// The probe set that seats at least `min_rows` candidate rows: the first
@@ -415,7 +395,7 @@ impl<O: Clone + Send + Sync, E: FilterElem> RoutedIndex<O, E> {
         let scores: Vec<f64> = (0..centroids.len())
             .map(|c| weighted_l1_row(weights, coords, centroids.row(c)))
             .collect();
-        let ranked = top_p_by_score(&scores, scores.len());
+        let ranked = top_p(&scores, 0);
         probe_prefix(&ranked, &self.cells, self.n_probe, min_rows)
     }
 
@@ -470,18 +450,18 @@ impl<O: Clone + Send + Sync, E: FilterElem> RoutedIndex<O, E> {
         self.validate(database, k, p)?;
         let (coords, weights) = self.kind.embed(query, distance);
         let visited = self.route(&coords, &weights, k);
-        let pool: usize = visited.iter().map(|&c| self.cells[c].len()).sum();
-        let mut scores = vec![0.0; pool];
-        let mut gids = Vec::with_capacity(pool);
-        let mut offset = 0;
+        // Each visited cell's scores go straight into the selection under
+        // their global ids; one score buffer serves every cell. A pool
+        // smaller than p is kept whole.
+        let mut top = TopP::new(effective_p(p, self.p_scale, self.len));
+        let mut scores = Vec::new();
         for &c in &visited {
             let cell = &self.cells[c];
-            cell.scan(&coords, &weights, &mut scores[offset..offset + cell.len()]);
-            gids.extend_from_slice(&self.ids[c]);
-            offset += cell.len();
+            scores.resize(cell.len(), 0.0);
+            cell.scan(&coords, &weights, &mut scores);
+            top.push(&scores, self.ids[c].iter().copied());
         }
-        let keep = effective_p(p, self.p_scale, self.len).min(pool);
-        let candidates = top_ids_by_score(&scores, &gids, keep);
+        let candidates = top.finish();
         Ok(refine_candidates(
             query,
             database,
@@ -496,8 +476,8 @@ impl<O: Clone + Send + Sync, E: FilterElem> RoutedIndex<O, E> {
     /// stay dense (see the module docs): embed the whole batch, route
     /// every query, then let each visited cell score all of its queries
     /// in one sequential Q×N tile — cells fan out across the persistent
-    /// worker pool — and finally regroup scores per query for selection
-    /// and the exact refine step (parallel over queries).
+    /// worker pool — and finally feed each query's score rows into its
+    /// selection and the exact refine step (parallel over queries).
     ///
     /// Results are in query order and identical to calling
     /// [`Self::retrieve`] per query, at any thread count.
@@ -591,23 +571,20 @@ impl<O: Clone + Send + Sync, E: FilterElem> RoutedIndex<O, E> {
             })
             .collect();
 
-        // Regroup per query: gather each query's score rows from its
-        // visited cells, select, refine (parallel over queries).
+        // Per query: feed its score row of every visited cell into the
+        // selection, then refine (parallel over queries).
         let embedding_cost = self.embedding_cost();
         Ok(slots
             .par_iter()
             .enumerate()
             .map(|(q, slots)| {
-                let pool: usize = slots.iter().map(|&(c, _)| self.cells[c].len()).sum();
-                let mut scores = Vec::with_capacity(pool);
-                let mut gids = Vec::with_capacity(pool);
+                let mut top = TopP::new(effective_p(p, self.p_scale, self.len));
                 for &(cell, row) in slots {
                     let n_c = self.cells[cell].len();
-                    scores.extend_from_slice(&cell_scores[cell][row * n_c..(row + 1) * n_c]);
-                    gids.extend_from_slice(&self.ids[cell]);
+                    let scores = &cell_scores[cell][row * n_c..(row + 1) * n_c];
+                    top.push(scores, self.ids[cell].iter().copied());
                 }
-                let keep = effective_p(p, self.p_scale, self.len).min(pool);
-                let candidates = top_ids_by_score(&scores, &gids, keep);
+                let candidates = top.finish();
                 refine_candidates(
                     &queries[q],
                     database,

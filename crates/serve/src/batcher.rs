@@ -3,14 +3,19 @@
 //!
 //! A single query scans the whole filter store for one output row; the
 //! tiled batch kernel amortizes that scan across a tile of query rows, so
-//! a served index wants concurrent singles to arrive *together*. The
-//! batcher buys that locality with a bounded wait: the first request to
-//! arrive opens a batch window, further arrivals join it, and the window
-//! closes after [`BatcherConfig::latency_budget`] or when
-//! [`BatcherConfig::max_batch`] requests have gathered — whichever comes
-//! first. A budget of zero degenerates to immediate per-arrival dispatch.
+//! a served index wants concurrent singles to execute *together*. By
+//! default the batcher is **work-conserving**: a free worker takes
+//! everything queued, up to [`BatcherConfig::max_batch`], at once and
+//! never waits for company. Batches form naturally under load — requests
+//! that arrive while every worker is busy queue up and leave together —
+//! while a lone request at an idle worker runs at once, with no timer.
 //!
-//! At the moment a window closes the drained requests are grouped by
+//! A nonzero [`BatcherConfig::latency_budget`] is an opt-in upper bound on
+//! waiting: the first request to reach a free worker opens a window,
+//! further arrivals join it, and the window closes after the budget or
+//! when `max_batch` requests have gathered, whichever comes first.
+//!
+//! When a worker takes a batch, the drained requests are grouped by
 //! `(k, p)` (the batched pipelines take one `k`/`p` per call) and, within
 //! each group, **deduplicated by exact query bits**: equal queries run
 //! once and share the result. This is the batch-global form of the
@@ -66,24 +71,25 @@ impl From<QueryError> for RequestError {
     }
 }
 
-/// Knobs of the admission window.
+/// Knobs of the admission batcher.
 #[derive(Debug, Clone, Copy)]
 pub struct BatcherConfig {
-    /// How long the first request in a window waits for company — the
-    /// bounded latency cost paid for batch locality. Zero dispatches
-    /// every arrival immediately.
+    /// How long the first request of a batch may wait for company at a
+    /// free worker. Zero (the default) is work-conserving: a free worker
+    /// takes whatever is queued at once. A nonzero budget opens a window
+    /// that trades up to this much latency per request for larger batches.
     pub latency_budget: Duration,
     /// Hard cap on requests per batch; a full window closes early.
     pub max_batch: usize,
-    /// Worker threads draining windows. One worker executes one batch at
-    /// a time; more workers overlap execution with the next window.
+    /// Worker threads draining the queue. One worker executes one batch
+    /// at a time; more workers overlap execution with the next batch.
     pub workers: usize,
 }
 
 impl Default for BatcherConfig {
     fn default() -> Self {
         Self {
-            latency_budget: Duration::from_micros(500),
+            latency_budget: Duration::ZERO,
             max_batch: 64,
             workers: 2,
         }
@@ -241,9 +247,11 @@ fn worker_loop(shared: &Shared) {
                     .wait(state)
                     .unwrap_or_else(|poisoned| poisoned.into_inner());
             }
-            // A request is waiting: open the batch window and hold it
-            // open (releasing the lock while sleeping) until the latency
-            // budget runs out or the batch fills.
+            // A request is waiting. With a nonzero latency budget, hold
+            // the batch window open (releasing the lock while sleeping)
+            // until the budget runs out or the batch fills; at the zero
+            // default the deadline has already passed, so the worker takes
+            // whatever is queued without waiting.
             let deadline = Instant::now() + shared.config.latency_budget;
             while state.queue.len() < shared.config.max_batch && !state.shutdown {
                 let now = Instant::now();
@@ -273,7 +281,7 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Run one drained admission window: group by `(k, p)`, dedupe equal
+/// Run one drained admission batch: group by `(k, p)`, dedupe equal
 /// queries within each group, execute each group through the batched
 /// pipeline once, fan results back out to every requester.
 fn execute_batch(shared: &Shared, batch: Vec<Pending>) {

@@ -51,8 +51,10 @@ pub struct ServeConfig {
     /// Bind address; port `0` picks an ephemeral port (the bound address
     /// is available from [`QseServer::addr`]).
     pub addr: String,
-    /// Admission-batching knobs, [`BatcherConfig::latency_budget`] being
-    /// the one that trades per-request latency for batch locality.
+    /// Admission-batching knobs. The default is work-conserving (a free
+    /// worker takes everything queued); a nonzero
+    /// [`BatcherConfig::latency_budget`] opts into a batch window that
+    /// trades per-request latency for batch locality.
     pub batcher: BatcherConfig,
     /// Per-connection socket read timeout; a stalled or abandoned
     /// connection frees its thread after this long.

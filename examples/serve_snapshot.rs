@@ -21,7 +21,7 @@ use query_sensitive_embeddings::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 const K: usize = 10;
@@ -193,13 +193,16 @@ fn fuzz_malformed(addr: SocketAddr, dim: usize) {
             .get("error")
             .expect("error body must carry `error`");
     }
-    // Raw garbage that is not HTTP at all.
+    // Raw garbage that is not HTTP at all. Half-closing the write side
+    // lets the server see end-of-input mid-line and answer at once, rather
+    // than wait out its read timeout for a newline that never comes.
     for garbage in ["\0\0\0\0", "GARBAGE\r\n\r\n", "POST /query HTTP/2\r\n\r\n"] {
         let mut stream = TcpStream::connect(addr).expect("connect");
         stream
             .set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
         stream.write_all(garbage.as_bytes()).expect("write");
+        stream.shutdown(Shutdown::Write).expect("half-close");
         let mut response = Vec::new();
         let _ = stream.read_to_end(&mut response);
         let text = String::from_utf8_lossy(&response);
@@ -278,18 +281,7 @@ fn main() {
         .try_query_batch(&queries, K, P)
         .expect("ground-truth batch");
 
-    let mut server = QseServer::start(
-        api,
-        ServeConfig {
-            batcher: BatcherConfig {
-                latency_budget: Duration::from_micros(500),
-                max_batch: 64,
-                workers: 2,
-            },
-            ..ServeConfig::default()
-        },
-    )
-    .expect("server start");
+    let mut server = QseServer::start(api, ServeConfig::default()).expect("server start");
     let addr = server.addr();
     println!("serving on {addr} ({CLIENTS} clients × {REQUESTS_PER_CLIENT} requests)");
 

@@ -6,8 +6,9 @@
 //! admission layer that coalesces concurrent singles into micro-batches.
 //!
 //! Also pinned: the batch-global equal-query dedupe actually fires (the
-//! stats counter moves) without changing any answer, a zero latency
-//! budget still answers correctly, and every facade backend (static /
+//! stats counter moves) without changing any answer, the shipped
+//! work-conserving default (no batch window) and an explicit zero latency
+//! budget answer correctly, and every facade backend (static /
 //! routed / dynamic) serves the same results through the batcher as
 //! directly.
 
@@ -87,9 +88,20 @@ fn request_mix(n: usize, seed: u64) -> Vec<Vec<f64>> {
     mix
 }
 
-/// Fire `requests` at the batcher from `clients` OS threads concurrently
-/// and assert each answer equals the sequential per-query ground truth.
-fn assert_batched_equals_sequential(api: QseApi, clients: usize, workers: usize) {
+/// A 2 ms admission window over 16-request batches: wide enough that
+/// concurrent clients' requests share batches.
+fn windowed(workers: usize) -> BatcherConfig {
+    BatcherConfig {
+        latency_budget: Duration::from_millis(2),
+        max_batch: 16,
+        workers,
+    }
+}
+
+/// Fire `requests` at a batcher started with `config` from `clients` OS
+/// threads concurrently and assert each answer equals the sequential
+/// per-query ground truth.
+fn assert_batched_equals_sequential(api: QseApi, clients: usize, config: BatcherConfig) {
     let (k, p) = (3, 25);
     let requests = request_mix(48, 0xA11CE);
     let expected: Vec<QueryResult> = requests
@@ -98,14 +110,7 @@ fn assert_batched_equals_sequential(api: QseApi, clients: usize, workers: usize)
         .collect();
 
     let api = Arc::new(api);
-    let batcher = Arc::new(Batcher::start(
-        Arc::clone(&api),
-        BatcherConfig {
-            latency_budget: Duration::from_millis(2),
-            max_batch: 16,
-            workers,
-        },
-    ));
+    let batcher = Arc::new(Batcher::start(Arc::clone(&api), config));
 
     let chunk = requests.len().div_ceil(clients);
     std::thread::scope(|scope| {
@@ -140,7 +145,7 @@ fn assert_batched_equals_sequential(api: QseApi, clients: usize, workers: usize)
 fn batched_equals_sequential_across_worker_counts_static() {
     let db = clustered(300, 11);
     for workers in [1, 2, 8] {
-        assert_batched_equals_sequential(static_api(&db), 6, workers);
+        assert_batched_equals_sequential(static_api(&db), 6, windowed(workers));
     }
 }
 
@@ -148,7 +153,7 @@ fn batched_equals_sequential_across_worker_counts_static() {
 fn batched_equals_sequential_across_worker_counts_routed() {
     let db = clustered(300, 12);
     for workers in [1, 2, 8] {
-        assert_batched_equals_sequential(routed_api(&db), 6, workers);
+        assert_batched_equals_sequential(routed_api(&db), 6, windowed(workers));
     }
 }
 
@@ -156,7 +161,24 @@ fn batched_equals_sequential_across_worker_counts_routed() {
 fn batched_equals_sequential_across_worker_counts_dynamic() {
     let db = clustered(300, 13);
     for workers in [1, 2, 8] {
-        assert_batched_equals_sequential(dynamic_api(&db), 6, workers);
+        assert_batched_equals_sequential(dynamic_api(&db), 6, windowed(workers));
+    }
+}
+
+#[test]
+fn batched_equals_sequential_at_the_shipped_default() {
+    // The work-conserving default (no window): batches form only from
+    // requests that queue while every worker is busy.
+    assert!(BatcherConfig::default().latency_budget.is_zero());
+    let db = clustered(300, 21);
+    for workers in [1, 2, 8] {
+        let config = BatcherConfig {
+            workers,
+            ..BatcherConfig::default()
+        };
+        assert_batched_equals_sequential(static_api(&db), 6, config);
+        assert_batched_equals_sequential(routed_api(&db), 6, config);
+        assert_batched_equals_sequential(dynamic_api(&db), 6, config);
     }
 }
 
@@ -168,7 +190,7 @@ fn batched_equals_sequential_under_substrate_thread_matrix() {
     let db = clustered(300, 14);
     for threads in [1, 2, 8] {
         with_thread_count(threads, || {
-            assert_batched_equals_sequential(static_api(&db), 4, 2);
+            assert_batched_equals_sequential(static_api(&db), 4, windowed(2));
         });
     }
 }
