@@ -34,7 +34,9 @@
 //!   still eats much of the saved scan work, at 100k rows the sublinear
 //!   scan dominates. Setup prints the measured recall@10-vs-n_probe curve
 //!   to stderr so the routed bench log records the recall each latency
-//!   was bought at.
+//!   was bought at. At 100k rows a `build` cell also times building the
+//!   routed index at `RoutedConfig::default()` (the embed, the sampled
+//!   k-means fit and the partition).
 //! * `startup/*` — build-from-raw vs snapshot restore
 //!   (`qse_retrieval::snapshot`) for the routed `u8` index on the 100k-row
 //!   dim-64 Gaussian workload: the full pipeline (embed + grid fit +
@@ -531,6 +533,23 @@ fn bench_routed(c: &mut Criterion) {
                 &db_size,
                 |b, _| {
                     b.iter(|| black_box(routed.retrieve_batch(black_box(&batch), &db, &d, K, P)))
+                },
+            );
+        }
+        if db_size == 100_000 {
+            let cells = RoutedConfig::default().cells;
+            group.bench_with_input(
+                BenchmarkId::new(format!("build/default{cells}/u8"), db_size),
+                &db_size,
+                |b, _| {
+                    b.iter(|| {
+                        black_box(RoutedIndex::<_, u8>::build_global_with_store(
+                            fm(171),
+                            black_box(&db),
+                            &d,
+                            RoutedConfig::default(),
+                        ))
+                    })
                 },
             );
         }

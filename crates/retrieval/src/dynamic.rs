@@ -954,6 +954,42 @@ mod tests {
     }
 
     #[test]
+    fn routing_fitted_on_a_sample_covers_every_row() {
+        // 60 + 300 rows > 64 · 3: enable_routing and refit_store train the
+        // k-means on a sample, yet every row gets a cell and a full probe
+        // still equals the unrouted scan.
+        let d = euclid();
+        let (mut routed, _) = trained_index(24);
+        let (mut plain, _) = trained_index(24);
+        for row in two_cluster_db(300) {
+            routed.insert(row.clone(), &d);
+            plain.insert(row, &d);
+        }
+        routed.enable_routing(
+            RoutedConfig {
+                cells: 3,
+                n_probe: 3,
+                ..RoutedConfig::default()
+            },
+            &d,
+        );
+        assert_routing_consistent(&routed);
+        routed.refit_store(&d);
+        plain.refit_store(&d);
+        assert_routing_consistent(&routed);
+        let queries: Vec<Vec<f64>> = (0..6)
+            .map(|i| vec![i as f64 * 4.0, (i % 2) as f64 * 5.0])
+            .collect();
+        for q in &queries {
+            assert_eq!(routed.retrieve(q, &d, 2, 8), plain.retrieve(q, &d, 2, 8));
+        }
+        assert_eq!(
+            routed.retrieve_batch(&queries, &d, 2, 8),
+            plain.retrieve_batch(&queries, &d, 2, 8)
+        );
+    }
+
+    #[test]
     fn routed_insert_lands_in_its_nearest_cell() {
         // Two well-separated clusters, two cells: the coarse partition
         // recovers the clusters, and a single probe suffices to find an

@@ -7,8 +7,11 @@
 //! with a coarse partition layer:
 //!
 //! 1. **Partition (indexing time)** — a seeded, deterministic k-means
-//!    ([`qse_embedding::KMeans`]) splits the embedded database into `C`
-//!    cells. Each cell owns its own [`FlatStore`], so the entire existing
+//!    ([`qse_embedding::KMeans`]), trained on a uniform sample of at most
+//!    [`SAMPLE_ROWS_PER_CELL`](qse_embedding::kmeans::SAMPLE_ROWS_PER_CELL)
+//!    rows per cell, splits the embedded database into `C` cells;
+//!    every row then joins its nearest centroid's cell. Each cell owns
+//!    its own [`FlatStore`], so the entire existing
 //!    backend machinery — [`FlatStore::scan`] with the `f64`/`f32` decode
 //!    tile and the `u8` integer SAD tile — is reused per cell
 //!    **unchanged**. All cells of one `u8`
@@ -65,12 +68,17 @@ use rayon::prelude::*;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoutedConfig {
     /// Number of k-means cells `C` (clamped to the database size at
-    /// build time).
+    /// build time). A rule of thumb is `C ≈ √n / 4`: the default 64 fits
+    /// about 65k rows, and at 100k rows with 4 probes a query scans
+    /// about 6% of the database. The k-means trains on a seeded sample of
+    /// at most [`SAMPLE_ROWS_PER_CELL`](qse_embedding::kmeans::SAMPLE_ROWS_PER_CELL)
+    /// `· C` rows, so the fit's cost grows with `C`, not with `n`
+    /// (assigning every row to its cell still costs `n · C`).
     pub cells: usize,
     /// Cells visited per query (clamped to the actual cell count; see
     /// [`RoutedIndex::set_n_probe`] to sweep after building).
     pub n_probe: usize,
-    /// Seed of the deterministic k-means initialization.
+    /// Seed of the deterministic k-means sample and initialization.
     pub seed: u64,
     /// Maximum Lloyd iterations of the k-means fit.
     pub max_iters: usize,
@@ -79,7 +87,7 @@ pub struct RoutedConfig {
 impl Default for RoutedConfig {
     fn default() -> Self {
         Self {
-            cells: 16,
+            cells: 64,
             n_probe: 4,
             seed: 0x5EED,
             max_iters: 25,
@@ -715,32 +723,37 @@ mod tests {
 
     #[test]
     fn full_probe_matches_the_unrouted_index() {
-        let db = clustered_db(180);
-        let d = euclid();
-        let flat = FilterRefineIndex::build_global(fastmap(&db, 1), &db, &d);
-        let routed = RoutedIndex::build_global(
-            fastmap(&db, 1),
-            &db,
-            &d,
-            RoutedConfig {
-                cells: 6,
-                n_probe: 6,
-                ..RoutedConfig::default()
-            },
-        );
-        let queries: Vec<Vec<f64>> = (0..40)
-            .map(|i| vec![(i % 3) as f64 * 40.0 + 0.3, (i % 2) as f64 * 40.0 - 0.2])
-            .collect();
-        for q in &queries {
+        // 180 rows fit k-means on every row; 500 > 64 · 6 on a sample.
+        for n in [180, 500] {
+            let db = clustered_db(n);
+            let d = euclid();
+            let flat = FilterRefineIndex::build_global(fastmap(&db, 1), &db, &d);
+            let routed = RoutedIndex::build_global(
+                fastmap(&db, 1),
+                &db,
+                &d,
+                RoutedConfig {
+                    cells: 6,
+                    n_probe: 6,
+                    ..RoutedConfig::default()
+                },
+            );
+            let queries: Vec<Vec<f64>> = (0..40)
+                .map(|i| vec![(i % 3) as f64 * 40.0 + 0.3, (i % 2) as f64 * 40.0 - 0.2])
+                .collect();
+            for q in &queries {
+                assert_eq!(
+                    routed.retrieve(q, &db, &d, 3, 15),
+                    flat.retrieve(q, &db, &d, 3, 15),
+                    "{n} rows"
+                );
+            }
             assert_eq!(
-                routed.retrieve(q, &db, &d, 3, 15),
-                flat.retrieve(q, &db, &d, 3, 15)
+                routed.retrieve_batch(&queries, &db, &d, 3, 15),
+                flat.retrieve_batch(&queries, &db, &d, 3, 15),
+                "{n} rows (batch)"
             );
         }
-        assert_eq!(
-            routed.retrieve_batch(&queries, &db, &d, 3, 15),
-            flat.retrieve_batch(&queries, &db, &d, 3, 15)
-        );
     }
 
     #[test]
@@ -774,24 +787,28 @@ mod tests {
 
     #[test]
     fn partition_covers_every_row_exactly_once() {
-        let db = clustered_db(150);
-        let d = euclid();
-        let routed = RoutedIndex::build_global(
-            fastmap(&db, 3),
-            &db,
-            &d,
-            RoutedConfig {
-                cells: 5,
-                n_probe: 2,
-                ..RoutedConfig::default()
-            },
-        );
-        assert_eq!(routed.cell_sizes().iter().sum::<usize>(), db.len());
-        let mut all: Vec<usize> = routed.ids.iter().flat_map(|l| l.iter().copied()).collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..db.len()).collect::<Vec<_>>());
-        for (c, ids) in routed.ids.iter().enumerate() {
-            assert_eq!(ids.len(), routed.cells[c].len(), "cell {c}");
+        // 150 rows fit k-means on every row; 400 > 64 · 5 on a sample,
+        // and every row must still land in a cell.
+        for n in [150, 400] {
+            let db = clustered_db(n);
+            let d = euclid();
+            let routed = RoutedIndex::build_global(
+                fastmap(&db, 3),
+                &db,
+                &d,
+                RoutedConfig {
+                    cells: 5,
+                    n_probe: 2,
+                    ..RoutedConfig::default()
+                },
+            );
+            assert_eq!(routed.cell_sizes().iter().sum::<usize>(), db.len());
+            let mut all: Vec<usize> = routed.ids.iter().flat_map(|l| l.iter().copied()).collect();
+            all.sort_unstable();
+            assert_eq!(all, (0..db.len()).collect::<Vec<_>>());
+            for (c, ids) in routed.ids.iter().enumerate() {
+                assert_eq!(ids.len(), routed.cells[c].len(), "{n} rows, cell {c}");
+            }
         }
     }
 

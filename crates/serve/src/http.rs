@@ -483,18 +483,59 @@ fn read_line(reader: &mut BufReader<TcpStream>) -> Result<Option<String>, &'stat
         .map_err(|_| "line is not UTF-8")
 }
 
-fn write_response(
-    writer: &mut TcpStream,
+/// Write one response — status line, headers and body — with a single
+/// `write_all` on a buffer formatted up front. On an unbuffered socket
+/// under `TCP_NODELAY`, each `write` call would leave as its own segment.
+fn write_response<W: Write>(
+    writer: &mut W,
     status: u16,
     reason: &str,
     body: &str,
     close: bool,
 ) -> std::io::Result<()> {
     let connection = if close { "close" } else { "keep-alive" };
-    write!(
-        writer,
+    let response = format!(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n{body}",
         body.len()
-    )?;
+    );
+    writer.write_all(response.as_bytes())?;
     writer.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_is_one_write() {
+        for (close, connection) in [(false, "keep-alive"), (true, "close")] {
+            let mut writer = CountingWriter::default();
+            let body = r#"{"neighbors":[3,1],"distances":[0.5,1.25]}"#;
+            write_response(&mut writer, 200, "OK", body, close).unwrap();
+            assert_eq!(writer.writes, 1, "one write per response");
+            let expected = format!(
+                "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 42\r\nConnection: {connection}\r\n\r\n{body}"
+            );
+            assert_eq!(String::from_utf8(writer.bytes).unwrap(), expected);
+        }
+    }
 }
